@@ -32,8 +32,10 @@ print("certificate:", cert.sequence, "permutation:", cert.permutation)
 _, status = apply_green_sequence(a2, (1, 1))
 print("bad replay:", status.reason)
 
-# Breadth-first search returns a shortest sequence, ties broken towards the
-# lexicographically least one.
+# The search deepens a length bound: a green vertex stays green until it is
+# mutated, so depth plus green count bounds any MGS through a state.  It
+# returns a shortest sequence, ties broken towards the lexicographically
+# least one.
 print("\nsearched:", search_mgs(a2).certificate.sequence)
 
 # The glued-cycle family has the hand-built sequence (2, 3, ..., n, 1, 2).

@@ -10,7 +10,7 @@ Quiver inputs are one of:
 
 Exit codes: 0 for definite answers (including a definite "no"), 2 when a
 budget ran out and the answer is unknown or a graph is incomplete, 1 for
-input errors.  Output is deterministic for fixed inputs, budgets and seed.
+input errors.  Output is deterministic for fixed inputs and budgets.
 """
 
 from __future__ import annotations
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json", "dot"), default="text")
     parser.add_argument("--out", help="write output to a file instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     parser.add_argument("--max-len", dest="max_len", type=int, default=None)
     parser.add_argument("--max-states", dest="max_states", type=int, default=None)
     parser.add_argument("--max-nodes", dest="max_nodes", type=int, default=10**5)

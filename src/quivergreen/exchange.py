@@ -105,24 +105,24 @@ def explore(
                     graph.complete = False
                     continue
                 ckey, crep = _canonical_rep(child)
+                if ckey.data not in graph.nodes:
+                    if len(graph.nodes) >= max_nodes:
+                        # no node for the child, so no edge to it either
+                        graph.complete = False
+                        continue
+                    cnode = ExchangeNode(
+                        ckey,
+                        crep,
+                        is_acyclic(crep),
+                        node.layer + 1,
+                        truncated=_over_mult(crep, max_mult),
+                    )
+                    graph.nodes[ckey.data] = cnode
+                    nxt.append(cnode)
                 if ckey.data != node.key.data:
                     graph.edges.add(
                         (min(ckey.data, node.key.data), max(ckey.data, node.key.data))
                     )
-                if ckey.data in graph.nodes:
-                    continue
-                if len(graph.nodes) >= max_nodes:
-                    graph.complete = False
-                    continue
-                cnode = ExchangeNode(
-                    ckey,
-                    crep,
-                    is_acyclic(crep),
-                    node.layer + 1,
-                    truncated=_over_mult(crep, max_mult),
-                )
-                graph.nodes[ckey.data] = cnode
-                nxt.append(cnode)
         frontier = nxt
     return graph
 

@@ -41,7 +41,7 @@ class FramedQuiver:
     mutable vertices ``1..n`` and frozen vertices ``n+1..2n``, with the
     frozen-frozen block identically zero."""
 
-    __slots__ = ("ext", "n", "_bytes")
+    __slots__ = ("ext", "n", "_bytes", "_green")
 
     def __init__(self, ext: np.ndarray, n: int):
         ext = np.asarray(ext, dtype=np.int64)
@@ -51,9 +51,11 @@ class FramedQuiver:
         self.ext = ext
         self.n = n
         self._bytes = ext.tobytes()
-        self._assert_sign_coherent()
+        self._green = self._assert_sign_coherent()
 
-    def _assert_sign_coherent(self) -> None:
+    def _assert_sign_coherent(self) -> np.ndarray:
+        """Raise unless every mutable vertex is green or red; return the
+        read-only green mask."""
         c = self.ext[: self.n, self.n :]
         nonneg = (c >= 0).all(axis=1)
         nonpos = (c <= 0).all(axis=1)
@@ -62,6 +64,8 @@ class FramedQuiver:
             raise InternalInvariantError(
                 f"vertex {bad} is neither green nor red; framed state corrupt"
             )
+        nonneg.setflags(write=False)
+        return nonneg
 
     def mutable_block(self) -> Quiver:
         return Quiver(self.ext[: self.n, : self.n])
@@ -70,16 +74,18 @@ class FramedQuiver:
         return self.ext[: self.n, self.n :]
 
     def green_mask(self) -> np.ndarray:
-        return (self.c_block() >= 0).all(axis=1)
+        """Read-only boolean mask of the green vertices, computed once by the
+        sign-coherence check."""
+        return self._green
 
     def green_vertices(self) -> tuple[int, ...]:
-        return tuple(int(i) + 1 for i in np.flatnonzero(self.green_mask()))
+        return tuple(int(i) + 1 for i in np.flatnonzero(self._green))
 
     def red_vertices(self) -> tuple[int, ...]:
-        return tuple(int(i) + 1 for i in np.flatnonzero(~self.green_mask()))
+        return tuple(int(i) + 1 for i in np.flatnonzero(~self._green))
 
     def all_red(self) -> bool:
-        return not self.green_mask().any()
+        return not self._green.any()
 
     def is_multiple_arrow_head(self, k: int) -> bool:
         """True when some mutable arrow of multiplicity >= 2 points at ``k``."""
@@ -261,17 +267,30 @@ def search_mgs(
     max_states: Optional[int] = None,
     prune: bool = True,
 ) -> SearchResult:
-    """Breadth-first search for a shortest MGS (ties: lexicographically least
-    sequence).
+    """Search for a shortest MGS (ties: lexicographically least sequence) by
+    iterative deepening on the green-count bound.
 
-    States are framed quivers, deduplicated by their exact matrix; each layer
-    is fully generated before goals are compared, so the reported certificate
-    does not depend on expansion order.  With ``prune`` on, mutations at the
-    head of a multiple arrow are never expanded; no MGS contains such a step.
+    A green vertex stays green until it is mutated (sign-coherence of
+    c-vectors), so a state at depth ``d`` with ``g`` green vertices lies on
+    no MGS shorter than ``d + g``.  Pass ``L`` is a layered breadth-first
+    search over framed states, deduplicated by their exact matrix, that
+    drops every child with ``depth + green count > L``.  Every predecessor
+    of a kept state is kept too (one mutation turns at most one green vertex
+    red), so each kept state is reached with the same lexicographically
+    least shortest sequence as an unbounded search would give it.  The first
+    pass has ``L = min(n, max_len)``; the next pass uses the least
+    ``depth + green count`` among the children dropped, so no pass is
+    empty.  Each layer is fully generated before goals are compared, so the
+    reported certificate does not depend on expansion order.  With
+    ``prune`` on, mutations at the head of a multiple arrow are never
+    expanded; no MGS contains such a step.
 
-    "exhausted" is only claimed when every reachable state within ``max_len``
-    was genuinely covered; branches cut off by the multiplicity cap downgrade
-    the outcome to "budget".
+    ``states`` counts the distinct framed states built over all passes,
+    each once (every framed mutation is computed once per search), and
+    ``max_states`` caps that count.  "exhausted" is only claimed when no
+    MGS of length at most ``max_len`` exists: the last pass dropped nothing,
+    or the next bound would exceed ``max_len``.  Branches cut off by the
+    multiplicity cap downgrade the outcome to "budget".
     """
     if max_len is None:
         max_len = default_max_len(q.n)
@@ -281,49 +300,74 @@ def search_mgs(
         raise QuiverError("max_len must be at least 1")
 
     start = frame(q)
-    seen = {start._bytes}
-    layer: dict[bytes, tuple[FramedQuiver, tuple[int, ...]]] = {
-        start._bytes: (start, ())
-    }
-    states = 1
+    # memoised across passes: key -> (state, green count), and
+    # key -> [(k, child key or None when the mutation hit the cap), ...]
+    built: dict[bytes, tuple[FramedQuiver, int]] = {start._bytes: (start, q.n)}
+    edges: dict[bytes, list[tuple[int, Optional[bytes]]]] = {}
     capped = False
-    for _ in range(max_len):
-        next_layer: dict[bytes, tuple[FramedQuiver, tuple[int, ...]]] = {}
-        for fq, seq in layer.values():
-            for k in fq.green_vertices():
-                if prune and fq.is_multiple_arrow_head(k):
-                    continue
-                try:
-                    child = mutate_framed(fq, k)
-                except QuiverError:
-                    capped = True
-                    continue
-                key = child._bytes
-                cseq = seq + (k,)
-                if key in next_layer:
-                    if cseq < next_layer[key][1]:
-                        next_layer[key] = (child, cseq)
-                    continue
-                if key in seen:
-                    continue  # reached at a shorter depth already
-                seen.add(key)
-                states += 1
-                next_layer[key] = (child, cseq)
-                if states > max_states:
-                    return SearchResult("budget", None, states)
-        if not next_layer:
-            return SearchResult("budget" if capped else "exhausted", None, states)
-        goals = [seq for fq, seq in next_layer.values() if fq.all_red()]
-        if goals:
-            best = min(goals)
-            cert = verify_mgs(q, best)
-            if cert is None:
-                raise InternalInvariantError(
-                    f"search produced sequence {best} that fails verification"
-                )
-            return SearchResult("found", cert, states)
-        layer = next_layer
-    return SearchResult("budget" if capped else "exhausted", None, states)
+    bound = min(q.n, max_len)
+    while True:
+        next_bound = None
+        reached = {start._bytes}
+        layer: dict[bytes, tuple[int, ...]] = {start._bytes: ()}
+        depth = 0
+        while layer:
+            depth += 1
+            next_layer: dict[bytes, tuple[int, ...]] = {}
+            for key, seq in layer.items():
+                out = edges.get(key)
+                if out is None:
+                    fq = built[key][0]
+                    out = []
+                    for k in fq.green_vertices():
+                        if prune and fq.is_multiple_arrow_head(k):
+                            continue
+                        try:
+                            child = mutate_framed(fq, k)
+                        except QuiverError:
+                            out.append((k, None))
+                            continue
+                        ckey = child._bytes
+                        if ckey not in built:
+                            green = int(np.count_nonzero(child.green_mask()))
+                            built[ckey] = (child, green)
+                            if len(built) > max_states:
+                                return SearchResult("budget", None, len(built))
+                        out.append((k, ckey))
+                    edges[key] = out
+                for k, ckey in out:
+                    if ckey is None:
+                        capped = True
+                        continue
+                    if ckey in reached:
+                        continue  # reached at a shorter depth already
+                    cseq = seq + (k,)
+                    if ckey in next_layer:
+                        if cseq < next_layer[ckey]:
+                            next_layer[ckey] = cseq
+                        continue
+                    need = depth + built[ckey][1]
+                    if need > bound:
+                        if next_bound is None or need < next_bound:
+                            next_bound = need
+                        continue
+                    next_layer[ckey] = cseq
+            goals = [seq for key, seq in next_layer.items() if built[key][1] == 0]
+            if goals:
+                best = min(goals)
+                cert = verify_mgs(q, best)
+                if cert is None:
+                    raise InternalInvariantError(
+                        f"search produced sequence {best} that fails verification"
+                    )
+                return SearchResult("found", cert, len(built))
+            reached.update(next_layer)
+            layer = next_layer
+        if next_bound is None or next_bound > max_len:
+            return SearchResult(
+                "budget" if capped else "exhausted", None, len(built)
+            )
+        bound = next_bound
 
 
 def acyclic_mgs(q: Quiver) -> MgsCertificate:

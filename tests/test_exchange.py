@@ -207,3 +207,23 @@ def test_psi_soundness_random_rank3():
             assert node.mgs.yes
         for entry in res.boundary:
             assert recheck_obstruction(entry.quiver, entry.obstruction)
+
+
+def test_explore_node_budget_leaves_no_dangling_edges(capsys):
+    from quivergreen.cli import main
+
+    graph = explore(get("K4").quiver, max_nodes=3)
+    assert len(graph) == 3 and not graph.complete
+    assert graph.edges
+    for a, b in graph.edges:
+        assert a in graph.nodes and b in graph.nodes
+    graph_to_dot(graph)
+    exported = graph_to_json(graph)
+    keys = {node["key"] for node in exported["nodes"]}
+    assert all(a in keys and b in keys for a, b in exported["edges"])
+
+    code = main(["--max-nodes", "3", "--format", "dot", "graph", "explore", "catalog:K4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert "graph incomplete" in captured.err

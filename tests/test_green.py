@@ -315,3 +315,70 @@ def test_opposite_duality_on_searched_quivers():
         dual = search_mgs(opposite(q), max_len=len(res.certificate.sequence) + q.n)
         assert dual.found, (q.arrows(), res.certificate.sequence)
         checked += 1
+
+
+def _assert_search_matches_oracle(q):
+    """Compare each found sequence with the shortest, then lexicographically
+    least, MGS from literal enumeration; returns the number compared."""
+    compared = 0
+    for prune in (True, False):
+        res = search_mgs(q, prune=prune)
+        if not res.found:
+            continue
+        seq = res.certificate.sequence
+        expected = min(enumerate_green_mgs(q, len(seq)), key=lambda s: (len(s), s))
+        assert seq == expected, (q.arrows(), prune)
+        # the last admissible bound still finds it, one below is exhausted
+        tight = search_mgs(q, max_len=len(seq), prune=prune)
+        assert tight.certificate == res.certificate, (q.arrows(), prune)
+        short = search_mgs(q, max_len=len(seq) - 1, prune=prune)
+        assert short.status == "exhausted", (q.arrows(), prune)
+        compared += 1
+    return compared
+
+
+def test_search_matches_oracle_rank3_cyclic():
+    compared = 0
+    for a in range(1, 4):
+        for b in range(1, 4):
+            for c in range(1, 4):
+                if min(a, b, c) == 1:
+                    compared += _assert_search_matches_oracle(make_rank3(a, b, c))
+    assert compared == 2 * 19
+
+
+def test_search_matches_oracle_random_rank4():
+    rng = np.random.default_rng(2024)
+    compared = 0
+    for _ in range(30):
+        compared += _assert_search_matches_oracle(random_quiver(rng, 4, 2))
+    assert compared >= 40
+
+
+def test_search_matches_oracle_theta5():
+    assert _assert_search_matches_oracle(make_theta(5)) == 2
+
+
+def test_search_max_len_below_rank_is_exhausted():
+    # every vertex is green at the start, so an MGS has length at least n
+    for q in (A2, make_rank3(1, 2, 3), make_theta(5)):
+        for max_len in range(1, q.n):
+            assert search_mgs(q, max_len=max_len).status == "exhausted"
+
+
+def test_search_theta7_state_count_pinned():
+    res = search_mgs(make_theta(7))
+    assert res.found
+    # distinct framed states built over all deepening passes; a plain
+    # breadth-first search builds 16,232
+    assert res.states == 1689
+    assert res.states < 16232
+
+
+def test_search_budget_counts_states_across_passes():
+    q = make_theta(7)
+    res = search_mgs(q)
+    at_budget = search_mgs(q, max_states=res.states)
+    assert at_budget.found and at_budget.certificate == res.certificate
+    assert at_budget.states == res.states
+    assert search_mgs(q, max_states=res.states - 1).status == "budget"

@@ -10,8 +10,11 @@ when vertex number ``k`` is appended, the newly determined entries are
 ``b[p0][pk], ..., b[p(k-1)][pk]`` followed by ``b[pk][p0], ..., b[pk][p(k-1)]``.
 The minimising search extends partial orderings level by level, keeping every
 partial that still achieves the minimum and deduplicating partials whose
-remaining cross profiles are entry-wise identical (which makes highly
-symmetric quivers cheap instead of factorial).
+remaining cross profiles are entry-wise identical.  The dedup only merges
+partials that use the same vertex set, so it turns the factorial search into
+one over vertex subsets: on a highly symmetric quiver it still visits about
+2^n partials (the arrowless quiver on 12 vertices, the cap, takes about
+0.1 s), while a quiver with few symmetries keeps only a handful per level.
 """
 
 from __future__ import annotations
@@ -49,38 +52,41 @@ class CanonicalKey:
 
 def _canonical_order(q: Quiver) -> tuple[int, ...]:
     """A vertex ordering (0-indexed) realising the minimal matrix."""
-    b = q.b
+    b = q.b.tolist()
     n = q.n
-    partials: list[tuple[int, ...]] = [()]
-    used_all = frozenset(range(n))
+    # A partial ordering p carries cols[w] = (b[x][w] for x in p) for every
+    # unused vertex w, and None for the used ones; extending p by v appends
+    # b[v][w] to each unused column.  This relies on ``Quiver`` enforcing
+    # skew-symmetry: the row half b[v][x] of an extension is the negation of
+    # its column half, so comparing extensions by v is comparing cols[v], and
+    # two partials with the same cols (hence the same used set) have the same
+    # future entries, so cols is the dedup profile.
+    partials: list[tuple[tuple[int, ...], tuple]] = [((), ((),) * n)]
     for _ in range(n):
-        best_ext = None
-        extended: list[tuple[int, ...]] = []
-        for p in partials:
-            used = set(p)
-            for v in range(n):
-                if v in used:
+        best = None
+        extended: list[tuple[tuple[int, ...], tuple, int]] = []
+        for p, cols in partials:
+            for v, col in enumerate(cols):
+                if col is None:
                     continue
-                ext = tuple(int(b[x, v]) for x in p) + tuple(
-                    int(b[v, x]) for x in p
-                )
-                if best_ext is None or ext < best_ext:
-                    best_ext = ext
-                    extended = [p + (v,)]
-                elif ext == best_ext:
-                    extended.append(p + (v,))
-        # dedup partials whose future extension entries must coincide
+                if best is None or col < best:
+                    best = col
+                    extended = [(p, cols, v)]
+                elif col == best:
+                    extended.append((p, cols, v))
+        # dedup partials whose future extension entries must coincide,
+        # keeping the first one seen
         seen = {}
-        for p in extended:
-            unused = sorted(used_all - set(p))
-            profile = tuple(
-                (w, tuple(int(b[x, w]) for x in p), tuple(int(b[w, x]) for x in p))
-                for w in unused
-            )
-            if profile not in seen:
-                seen[profile] = p
-        partials = list(seen.values())
-    return partials[0]
+        for p, cols, v in extended:
+            grown = [
+                None if col is None else col + (x,) for col, x in zip(cols, b[v])
+            ]
+            grown[v] = None
+            grown = tuple(grown)
+            if grown not in seen:
+                seen[grown] = p + (v,)
+        partials = [(p, cols) for cols, p in seen.items()]
+    return partials[0][0]
 
 
 def canonical_form(q: Quiver) -> tuple[CanonicalKey, tuple[int, ...]]:

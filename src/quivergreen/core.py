@@ -22,6 +22,40 @@ from .errors import QuiverError
 # stays within the cap, since cap**2 + cap < 2**63.
 MULT_CAP = 2**31 - 1
 
+# Vertex counts above this cap are rejected before any matrix is allocated
+# (an n x n int64 matrix at the cap takes 8 MiB), so an input such as
+# {"n": 100000, ...} is an input error instead of a 74.5 GiB allocation.
+MAX_VERTICES = 1024
+
+
+def _require_int(x, what: str) -> int:
+    """``x`` as an int if it is a Python or numpy integer.  Anything else,
+    including a bool, a float or a string, is rejected rather than coerced."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise QuiverError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 1:
+        raise QuiverError("a quiver needs at least one vertex")
+    if n > MAX_VERTICES:
+        raise QuiverError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
+
+
+def _check_int_rows(rows) -> None:
+    """Validate a matrix given as nested lists before numpy sees it: a square
+    list of rows of integers within the multiplicity cap."""
+    if not isinstance(rows, (list, tuple)):
+        raise QuiverError("exchange matrix must be a list of rows")
+    _check_vertex_count(len(rows))
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != len(rows):
+            raise QuiverError("exchange matrix must be square")
+        for x in row:
+            if abs(_require_int(x, "matrix entry")) > MULT_CAP:
+                raise QuiverError(f"arrow multiplicity exceeds cap {MULT_CAP}")
+
 
 class Quiver:
     """Immutable quiver on vertices ``1..n`` backed by a skew-symmetric matrix."""
@@ -29,12 +63,20 @@ class Quiver:
     __slots__ = ("b", "n", "_bytes", "_canon")
 
     def __init__(self, b):
+        if isinstance(b, np.ndarray):
+            # signed integers only: an unsigned matrix is skew-symmetric only
+            # when it is zero, and uint64 would wrap when converted
+            if b.dtype.kind != "i":
+                raise QuiverError(
+                    f"exchange matrix must have signed integer entries, not {b.dtype}"
+                )
+        else:
+            _check_int_rows(b)
         arr = np.array(b, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise QuiverError("exchange matrix must be square")
         n = arr.shape[0]
-        if n < 1:
-            raise QuiverError("a quiver needs at least one vertex")
+        _check_vertex_count(n)
         if np.any(np.diagonal(arr) != 0):
             raise QuiverError("diagonal entries must be zero (no loops)")
         if not np.array_equal(arr, -arr.T):
@@ -54,8 +96,8 @@ class Quiver:
         A bare ``(tail, head)`` pair means multiplicity 1.  At most one entry
         per unordered vertex pair is accepted.
         """
-        if n < 1:
-            raise QuiverError("a quiver needs at least one vertex")
+        n = _require_int(n, "vertex count")
+        _check_vertex_count(n)
         b = np.zeros((n, n), dtype=np.int64)
         seen = set()
         for entry in arrows:
@@ -65,12 +107,18 @@ class Quiver:
                 t, h, m = entry
             else:
                 raise QuiverError(f"bad arrow entry {entry!r}")
+            what = f"each entry of arrow {entry!r}"
+            t, h, m = (_require_int(x, what) for x in (t, h, m))
             if not (1 <= t <= n and 1 <= h <= n):
                 raise QuiverError(f"arrow {entry!r} has a vertex outside 1..{n}")
             if t == h:
                 raise QuiverError(f"arrow {entry!r} is a loop")
             if m < 1:
                 raise QuiverError(f"arrow {entry!r} has multiplicity < 1")
+            if m > MULT_CAP:
+                raise QuiverError(
+                    f"arrow {entry!r} exceeds multiplicity cap {MULT_CAP}"
+                )
             pair = (min(t, h), max(t, h))
             if pair in seen:
                 raise QuiverError(f"duplicate arrow entry for vertex pair {pair}")
@@ -175,12 +223,10 @@ def relabel(q: Quiver, sigma: Sequence[int]) -> Quiver:
     of vertex ``i``), so the result satisfies ``b'[s(i)][s(j)] = b[i][j]``."""
     if sorted(sigma) != list(range(1, q.n + 1)):
         raise QuiverError(f"{sigma!r} is not a permutation of 1..{q.n}")
-    b = np.zeros_like(q.b)
-    idx = [s - 1 for s in sigma]
-    for i in range(q.n):
-        for j in range(q.n):
-            b[idx[i], idx[j]] = q.b[i, j]
-    return Quiver(b)
+    inv = [0] * q.n
+    for i, s in enumerate(sigma):
+        inv[s - 1] = i
+    return Quiver(q.b[np.ix_(inv, inv)])
 
 
 def mutate(q: Quiver, k: int) -> Quiver:

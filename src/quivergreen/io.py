@@ -4,7 +4,10 @@ The canonical interchange form is a JSON object
 ``{"n": int, "arrows": [[tail, head, mult], ...]}`` with 1-indexed vertices,
 ``tail != head``, ``mult >= 1`` and at most one entry per unordered vertex
 pair.  A raw matrix form ``{"b": [[...]]}`` is accepted on input.  Both forms
-are validated against the quiver invariants when loaded.
+are validated against the quiver invariants when loaded: every number must be
+a JSON integer (a float, a string or a bool is rejected, never coerced), the
+vertex count is capped by ``core.MAX_VERTICES`` and multiplicities by
+``core.MULT_CAP``.
 """
 
 from __future__ import annotations
@@ -27,18 +30,13 @@ def quiver_from_json(data) -> Quiver:
         return Quiver(data["b"])
     if "n" not in data or "arrows" not in data:
         raise QuiverError('quiver JSON needs "n" and "arrows" (or a "b" matrix)')
-    n = data["n"]
-    if not isinstance(n, int):
-        raise QuiverError('"n" must be an integer')
     arrows = data["arrows"]
     if not isinstance(arrows, list):
         raise QuiverError('"arrows" must be a list of [tail, head, mult] entries')
-    cleaned = []
     for entry in arrows:
         if not isinstance(entry, (list, tuple)) or len(entry) not in (2, 3):
             raise QuiverError(f"bad arrow entry {entry!r}")
-        cleaned.append(tuple(int(v) for v in entry))
-    return Quiver.from_arrows(n, cleaned)
+    return Quiver.from_arrows(data["n"], arrows)
 
 
 def loads_quiver(text: str) -> Quiver:

@@ -150,6 +150,45 @@ def canonical_matrix_literal(q: Quiver) -> bytes:
     return q.n.to_bytes(2, "big") + m.astype(np.int64).tobytes()
 
 
+def canonical_order_reference(q: Quiver) -> tuple[int, ...]:
+    """The ordering the canonical search must pick, computed the slow way:
+    every extension and every dedup profile is rebuilt from single matrix
+    reads, with both the column and the row half spelled out, and nothing
+    assumes skew-symmetry.  Partials are visited in the same order and the
+    first-seen partial of each profile is kept, so the package's search must
+    return exactly this ordering.  The matrix is read as nested lists only to
+    keep the symmetric 12-vertex cases within test time."""
+    b = q.b.tolist()
+    n = q.n
+    partials: list[tuple[int, ...]] = [()]
+    used_all = frozenset(range(n))
+    for _ in range(n):
+        best_ext = None
+        extended: list[tuple[int, ...]] = []
+        for p in partials:
+            used = set(p)
+            for v in range(n):
+                if v in used:
+                    continue
+                ext = tuple(b[x][v] for x in p) + tuple(b[v][x] for x in p)
+                if best_ext is None or ext < best_ext:
+                    best_ext = ext
+                    extended = [p + (v,)]
+                elif ext == best_ext:
+                    extended.append(p + (v,))
+        seen = {}
+        for p in extended:
+            unused = sorted(used_all - set(p))
+            profile = tuple(
+                (w, tuple(b[x][w] for x in p), tuple(b[w][x] for x in p))
+                for w in unused
+            )
+            if profile not in seen:
+                seen[profile] = p
+        partials = list(seen.values())
+    return partials[0]
+
+
 def iso_brute(q1: Quiver, q2: Quiver):
     """Try all permutations; return one mapping q1 onto q2, or None."""
     if q1.n != q2.n:

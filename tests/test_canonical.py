@@ -6,7 +6,12 @@ from quivergreen.catalog import make_rank3, make_theta
 from quivergreen.core import Quiver, mutate, opposite, relabel
 from quivergreen.errors import CapabilityError
 
-from oracles import canonical_matrix_literal, iso_brute, random_quiver
+from oracles import (
+    canonical_matrix_literal,
+    canonical_order_reference,
+    iso_brute,
+    random_quiver,
+)
 
 
 def test_key_invariant_under_relabelling():
@@ -67,6 +72,51 @@ def test_key_invariance_on_symmetric_quivers():
     arrowless = Quiver(np.zeros((9, 9), dtype=int))
     perm = [int(v) + 1 for v in rng.permutation(9)]
     assert canonical_key(relabel(arrowless, perm)) == canonical_key(arrowless)
+
+
+def _disjoint_union(*blocks: tuple[int, list]) -> Quiver:
+    """Disjoint union of ``(size, arrows)`` blocks, numbered block by block."""
+    arrows, offset = [], 0
+    for size, block in blocks:
+        arrows += [(offset + t, offset + h) for t, h in block]
+        offset += size
+    return Quiver.from_arrows(offset, arrows)
+
+
+def test_witness_matches_reference_ordering():
+    # the key alone does not pin the chosen ordering: the witness (hence
+    # are_isomorphic and every relabelled representative) must be exactly
+    # the ordering of the first-seen partial in the reference search
+    from quivergreen.catalog import get, names
+
+    rng = np.random.default_rng(48)
+    cases = [
+        random_quiver(rng, n, int(rng.integers(1, 4)))
+        for n in range(1, 10)
+        for _ in range(25)
+    ]
+    cases += [get(name).quiver for name in names() if get(name).quiver.n <= 12]
+    a2, a3 = (2, [(1, 2)]), (3, [(1, 2), (2, 3)])
+    triangle = (3, [(1, 2), (2, 3), (3, 1)])
+    symmetric = [
+        Quiver(np.zeros((10, 10), dtype=int)),
+        Quiver(np.zeros((12, 12), dtype=int)),
+        Quiver.from_arrows(12, [(1, k) for k in range(2, 13)]),
+        _disjoint_union(*[triangle] * 4),
+        _disjoint_union(*[a2] * 6),
+        _disjoint_union(*[a3] * 4),
+    ]
+    cases += symmetric
+    # relabelled copies visit the symmetric partials in another order
+    cases += [
+        relabel(q, [int(v) + 1 for v in rng.permutation(q.n)]) for q in symmetric[2:]
+    ]
+    for q in cases:
+        order = canonical_order_reference(q)
+        sigma = [0] * q.n
+        for new0, old0 in enumerate(order):
+            sigma[old0] = new0 + 1
+        assert canonical_form(q)[1] == tuple(sigma), q
 
 
 def test_are_isomorphic_identity_and_witness():

@@ -248,6 +248,22 @@ def test_relabel_roundtrip():
         assert relabel(relabel(q, perm), inv) == q
 
 
+def test_relabel_matches_definition():
+    rng = np.random.default_rng(30)
+    for _ in range(50):
+        n = int(rng.integers(1, 8))
+        q = random_quiver(rng, n, 3)
+        perm = [int(v) + 1 for v in rng.permutation(n)]
+        b = q.b.tolist()
+        expected = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                expected[perm[i] - 1][perm[j] - 1] = b[i][j]
+        assert relabel(q, perm) == Quiver(expected)
+    with pytest.raises(QuiverError):
+        relabel(q, [1] * n if n > 1 else [2])
+
+
 def test_mutation_invariants_random():
     rng = np.random.default_rng(31)
     for _ in range(150):

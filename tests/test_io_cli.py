@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import quivergreen
 from quivergreen.catalog import get, make_rank3
 from quivergreen.cli import main, parse_quiver
-from quivergreen.core import Quiver
+from quivergreen.core import MAX_VERTICES, Quiver
 from quivergreen.errors import QuiverError
 from quivergreen.io import (
     dumps_quiver,
@@ -196,3 +202,69 @@ def test_cli_byte_identical_reruns(capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"b": [[0, 1.7], [-1.7, 0]]},  # used to load as the arrow (1, 2, 1)
+        {"b": [[0, "1"], ["-1", 0]]},
+        {"b": [[0, True], [-1, 0]]},
+        {"n": 2, "arrows": [[1, 2, 1.9]]},  # used to load as multiplicity 1
+        {"n": 2, "arrows": [[1, 2, "1"]]},
+        {"n": 2, "arrows": [["1", 2]]},
+        {"n": 2, "arrows": [[1, 2, True]]},
+        {"n": 2.0, "arrows": []},
+        {"n": "2", "arrows": []},
+        {"n": True, "arrows": []},  # used to raise a bare TypeError
+    ],
+)
+def test_non_integer_input_is_rejected(doc):
+    with pytest.raises(QuiverError):
+        quiver_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"b": [[0, 10**20], [-(10**20), 0]]},  # used to raise OverflowError
+        {"n": 2, "arrows": [[1, 2, 10**20]]},
+        {"n": 2, "arrows": [[1, 2, 2**31]]},
+    ],
+)
+def test_oversized_multiplicity_is_rejected(doc):
+    with pytest.raises(QuiverError, match="cap"):
+        quiver_from_json(doc)
+
+
+def test_huge_vertex_count_is_rejected_before_allocating():
+    # 10**9 vertices would need about 6.9 EiB; the cap check comes first
+    with pytest.raises(QuiverError, match="cap"):
+        quiver_from_json({"n": 10**9, "arrows": []})
+    with pytest.raises(QuiverError, match="cap"):
+        quiver_from_json({"n": MAX_VERTICES + 1, "arrows": []})
+    assert quiver_from_json({"n": MAX_VERTICES, "arrows": []}).n == MAX_VERTICES
+
+
+def test_numpy_integer_matrices_still_construct():
+    for dtype in (np.int64, np.int32, np.int8):
+        assert Quiver(np.zeros((3, 3), dtype=dtype)).b.dtype == np.int64
+    b = np.array([[0, 2], [-2, 0]], dtype=np.int32)
+    assert Quiver(b) == Quiver.from_arrows(2, [(1, 2, 2)])
+    assert Quiver.from_arrows(np.int64(2), [(np.int64(1), np.int64(2))]).n == 2
+    for dtype in (np.float64, np.bool_, np.uint8, np.uint64, object):
+        with pytest.raises(QuiverError):
+            Quiver(np.zeros((2, 2), dtype=dtype))
+
+
+def test_cli_rejects_bool_vertex_count_without_traceback(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text('{"n": true, "arrows": []}')
+    env = dict(os.environ, PYTHONPATH=str(Path(quivergreen.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quivergreen.cli", "decide", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1  # the input-error exit code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

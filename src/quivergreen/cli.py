@@ -310,6 +310,8 @@ def cmd_louise(args, out: Output) -> int:
         raise QuiverError(f"cannot read certificate: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CertificateError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CertificateError("certificate is nested too deeply") from exc
     valid = verify_louise_certificate(q, cert)
     out.emit({"valid": valid}, "valid" if valid else "invalid")
     return EXIT_OK

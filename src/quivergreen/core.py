@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -83,11 +83,22 @@ class Quiver:
             raise QuiverError("exchange matrix must be skew-symmetric")
         if np.any(np.abs(arr) > MULT_CAP):
             raise QuiverError(f"arrow multiplicity exceeds cap {MULT_CAP}")
+        self._adopt(arr)
+
+    def _adopt(self, arr: np.ndarray) -> "Quiver":
+        """Freeze ``arr`` and take it as this quiver's matrix, unchecked."""
         arr.setflags(write=False)
         self.b = arr
-        self.n = n
+        self.n = arr.shape[0]
         self._bytes = arr.tobytes()
         self._canon = None
+        return self
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "Quiver":
+        """Quiver on a fresh int64 matrix that internal code derived from a
+        valid quiver, so it needs none of the checks in ``__init__``."""
+        return cls.__new__(cls)._adopt(arr)
 
     @classmethod
     def from_arrows(cls, n: int, arrows: Iterable[Sequence[int]]) -> "Quiver":
@@ -203,19 +214,25 @@ class DirectSumDecomposition:
             return False
         if not left or not right:
             return False
-        cross = []
-        for i in left:
-            for j in right:
-                m = q.mult(i, j)
-                if m < 0:
-                    return False  # arrow pointing right to left
-                if m >= 2:
-                    return False  # multiple cross arrow
-                if m == 1:
-                    cross.append((i, j))
-        if sorted(cross) != sorted(self.cross_arrows):
+        cross = _cross_arrows(q.b.tolist(), self.part_left, self.part_right)
+        if cross is None or sorted(cross) != sorted(self.cross_arrows):
             return False
         return self.t == len({t for t, _ in cross})
+
+
+def _cross_arrows(rows, left, right) -> Optional[list[tuple[int, int]]]:
+    """The arrows from ``left`` to ``right`` (1-indexed labels, ``rows`` the
+    matrix as nested lists), in left-major order, or None unless every arrow
+    between the parts is single and points left to right."""
+    cross = []
+    for i in left:
+        for j in right:
+            m = rows[i - 1][j - 1]
+            if m < 0 or m >= 2:
+                return None
+            if m == 1:
+                cross.append((i, j))
+    return cross
 
 
 def relabel(q: Quiver, sigma: Sequence[int]) -> Quiver:
@@ -226,23 +243,31 @@ def relabel(q: Quiver, sigma: Sequence[int]) -> Quiver:
     inv = [0] * q.n
     for i, s in enumerate(sigma):
         inv[s - 1] = i
-    return Quiver(q.b[np.ix_(inv, inv)])
+    return Quiver._trusted(q.b[np.ix_(inv, inv)])
+
+
+def _mutate_matrix(b: np.ndarray, k: int, frozen: int, what: str) -> np.ndarray:
+    """Matrix mutation at vertex ``k`` (1-indexed): compose 2-paths through
+    ``k``, reverse the arrows at ``k``, cancel opposite pairs.  Vertices from
+    index ``frozen`` on are frozen, and arrows between two of them are
+    deleted.  Raises instead of exceeding ``MULT_CAP``."""
+    kk = k - 1
+    pos_in = np.maximum(b[:, kk], 0)  # multiplicities of arrows into k
+    pos_out = np.maximum(b[kk, :], 0)  # multiplicities of arrows out of k
+    paths = np.outer(pos_in, pos_out)
+    new = b + paths - paths.T
+    new[kk, :] = -b[kk, :]
+    new[:, kk] = -b[:, kk]
+    new[frozen:, frozen:] = 0
+    if np.any(np.abs(new) > MULT_CAP):
+        raise QuiverError(f"{what} at {k} overflows the multiplicity cap")
+    return new
 
 
 def mutate(q: Quiver, k: int) -> Quiver:
-    """Mutate at vertex ``k``: compose 2-paths through ``k``, reverse arrows
-    at ``k``, cancel opposite pairs.  The input is unchanged."""
+    """Mutate at vertex ``k``.  The input is unchanged."""
     q._check_vertex(k)
-    kk = k - 1
-    b = q.b
-    pos_in = np.maximum(b[:, kk], 0)  # multiplicities of arrows into k
-    pos_out = np.maximum(b[kk, :], 0)  # multiplicities of arrows out of k
-    bp = b + np.outer(pos_in, pos_out) - np.outer(pos_out, pos_in)
-    bp[kk, :] = -b[kk, :]
-    bp[:, kk] = -b[:, kk]
-    if np.any(np.abs(bp) > MULT_CAP):
-        raise QuiverError(f"mutation at {k} overflows the multiplicity cap")
-    return Quiver(bp)
+    return Quiver._trusted(_mutate_matrix(q.b, k, q.n, "mutation"))
 
 
 def mutate_sequence(q: Quiver, seq: Iterable[int]) -> Quiver:
@@ -253,7 +278,7 @@ def mutate_sequence(q: Quiver, seq: Iterable[int]) -> Quiver:
 
 def opposite(q: Quiver) -> Quiver:
     """Reverse every arrow."""
-    return Quiver(-q.b)
+    return Quiver._trusted(-q.b)
 
 
 def induced_subquiver(q: Quiver, vs: Iterable[int]) -> tuple[Quiver, tuple[int, ...]]:
@@ -269,7 +294,7 @@ def induced_subquiver(q: Quiver, vs: Iterable[int]) -> tuple[Quiver, tuple[int, 
     for v in vlist:
         q._check_vertex(v)
     idx = [v - 1 for v in vlist]
-    sub = Quiver(q.b[np.ix_(idx, idx)])
+    sub = Quiver._trusted(q.b[np.ix_(idx, idx)])
     return sub, tuple(vlist)
 
 
@@ -306,14 +331,14 @@ def is_acyclic(q: Quiver) -> bool:
     return True
 
 
-def _cycle_order(q: Quiver, vs: Sequence[int]) -> Optional[list[int]]:
+def _cycle_order(rows, vs: Sequence[int]) -> Optional[list[int]]:
     """Order ``vs`` around a cycle of the underlying graph, or None if the
     induced subquiver is not a single chordless cycle."""
     k = len(vs)
     if k < 3:
         return None
     adj = {
-        v: [w for w in vs if w != v and q.b[v - 1, w - 1] != 0] for v in vs
+        v: [w for w in vs if w != v and rows[v - 1][w - 1] != 0] for v in vs
     }
     if any(len(nbrs) != 2 for nbrs in adj.values()):
         return None
@@ -333,6 +358,30 @@ def _cycle_order(q: Quiver, vs: Sequence[int]) -> Optional[list[int]]:
     return order
 
 
+def _chordless_cycles(rows) -> Iterator[list[tuple[list[int], bool]]]:
+    """Chordless cycles of the underlying graph of the matrix ``rows`` (nested
+    lists), one list per length 3..n, so a caller can stop after any length.
+
+    Each cycle is an ordered vertex list starting at its least vertex, in
+    arrow direction when the arrows run consistently around it, together
+    with that orientation flag.
+    """
+    n = len(rows)
+    for size in range(3, n + 1):
+        layer = []
+        for vs in combinations(range(1, n + 1), size):
+            order = _cycle_order(rows, vs)
+            if order is None:
+                continue
+            arcs = [(order[i - 1] - 1, order[i] - 1) for i in range(size)]
+            forward = all(rows[u][v] > 0 for u, v in arcs)
+            backward = all(rows[v][u] > 0 for u, v in arcs)
+            if backward:
+                order = [order[0]] + order[1:][::-1]
+            layer.append((order, forward or backward))
+        yield layer
+
+
 def induced_cycles(q: Quiver) -> list[tuple[tuple[int, ...], bool]]:
     """All chordless cycles of the underlying graph, length >= 3.
 
@@ -340,27 +389,12 @@ def induced_cycles(q: Quiver) -> list[tuple[tuple[int, ...], bool]]:
     vertex, together with an orientation flag: True when the arrows run
     consistently around the cycle.  Multiplicities do not affect the shape.
     """
-    out = []
-    verts = range(1, q.n + 1)
-    for size in range(3, q.n + 1):
-        for vs in combinations(verts, size):
-            order = _cycle_order(q, vs)
-            if order is None:
-                continue
-            forward = all(
-                q.b[order[i] - 1, order[(i + 1) % size] - 1] > 0
-                for i in range(size)
-            )
-            backward = all(
-                q.b[order[(i + 1) % size] - 1, order[i] - 1] > 0
-                for i in range(size)
-            )
-            if backward:
-                # report in arrow direction, still starting at the least vertex
-                order = [order[0]] + order[1:][::-1]
-            out.append((tuple(order), forward or backward))
-    out.sort(key=lambda item: (len(item[0]), item[0]))
-    return out
+    cycles = [
+        (tuple(order), oriented)
+        for layer in _chordless_cycles(q.b.tolist())
+        for order, oriented in layer
+    ]
+    return sorted(cycles, key=lambda item: (len(item[0]), item[0]))
 
 
 def b_matrix_rank(q: Quiver) -> int:
@@ -396,24 +430,14 @@ def find_direct_sum(q: Quiver) -> Optional[DirectSumDecomposition]:
     cross arrows are all single and all point left to right, or None."""
     if q.n > 16:
         raise QuiverError("direct-sum scan is exhaustive and capped at 16 vertices")
+    rows = q.b.tolist()
     verts = list(range(1, q.n + 1))
     for size in range(1, q.n):
         for left in combinations(verts, size):
             left_set = set(left)
             right = tuple(v for v in verts if v not in left_set)
-            cross = []
-            ok = True
-            for i in left:
-                for j in right:
-                    m = q.mult(i, j)
-                    if m < 0 or m >= 2:
-                        ok = False
-                        break
-                    if m == 1:
-                        cross.append((i, j))
-                if not ok:
-                    break
-            if ok:
+            cross = _cross_arrows(rows, left, right)
+            if cross is not None:
                 return DirectSumDecomposition(
                     part_left=left,
                     part_right=right,
@@ -430,49 +454,30 @@ def find_ending_kcycle(q: Quiver) -> Optional[tuple[tuple[int, ...], int]]:
     Returns the smallest such k and then the lexicographically least ordered
     cycle, as ``(cycle, attachment)`` with ``attachment == cycle[-1]``.
     """
-    best = None
-    verts = range(1, q.n + 1)
-    for size in range(3, q.n + 1):
-        if best is not None:
-            break
-        for vs in combinations(verts, size):
-            order = _cycle_order(q, vs)
-            if order is None:
+    rows = q.b.tolist()
+    for layer in _chordless_cycles(rows):
+        found = []
+        for order, oriented in layer:
+            if not oriented or any(
+                rows[order[i - 1] - 1][order[i] - 1] != 1 for i in range(len(order))
+            ):
                 continue
-            forward = all(
-                q.b[order[i] - 1, order[(i + 1) % size] - 1] == 1
-                for i in range(size)
-            )
-            backward = all(
-                q.b[order[(i + 1) % size] - 1, order[i] - 1] == 1
-                for i in range(size)
-            )
-            if not (forward or backward):
-                continue
-            if backward:
-                order = [order[0]] + order[1:][::-1]
-            outside = set(verts) - set(vs)
+            outside = [w for w in range(1, q.n + 1) if w not in order]
             attached = [
-                v
-                for v in order
-                if any(q.b[v - 1, w - 1] != 0 for w in outside)
+                v for v in order if any(rows[v - 1][w - 1] != 0 for w in outside)
             ]
             if len(attached) > 1:
                 continue
             # rotations of the cycle that put a valid attachment vertex last
-            candidates = []
-            for pos, v in enumerate(order):
-                if attached and v != attached[0]:
-                    continue
-                rot = order[pos + 1:] + order[: pos + 1]
-                candidates.append(tuple(rot))
-            if candidates:
-                cand = min(candidates)
-                if best is None or cand < best:
-                    best = cand
-    if best is None:
-        return None
-    return best, best[-1]
+            found.extend(
+                tuple(order[pos + 1:] + order[: pos + 1])
+                for pos, v in enumerate(order)
+                if not attached or v == attached[0]
+            )
+        if found:
+            best = min(found)
+            return best, best[-1]
+    return None
 
 
 def separating_edges(q: Quiver) -> list[tuple[int, int]]:

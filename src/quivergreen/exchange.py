@@ -59,6 +59,12 @@ class ExchangeGraph:
     def sorted_edges(self) -> list[tuple[bytes, bytes]]:
         return sorted(self.edges)
 
+    def add_edge(self, a: bytes, b: bytes) -> None:
+        """Record the undirected edge between keys ``a`` and ``b``; a
+        mutation that returns to the same class adds nothing."""
+        if a != b:
+            self.edges.add((min(a, b), max(a, b)))
+
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -119,10 +125,7 @@ def explore(
                     )
                     graph.nodes[ckey.data] = cnode
                     nxt.append(cnode)
-                if ckey.data != node.key.data:
-                    graph.edges.add(
-                        (min(ckey.data, node.key.data), max(ckey.data, node.key.data))
-                    )
+                graph.add_edge(ckey.data, node.key.data)
         frontier = nxt
     return graph
 
@@ -158,6 +161,7 @@ class BoundaryEntry:
     key: CanonicalKey
     quiver: Quiver
     obstruction: Obstruction
+    members: set[bytes]  # keys of the component members one mutation away
 
 
 @dataclass
@@ -216,33 +220,29 @@ def psi_component(
                     unresolved += 1  # neighbour beyond exact integer range
                     continue
                 ckey, crep = _canonical_rep(child)
-                if ckey.data == node.key.data:
-                    continue
-                if ckey.data in graph.nodes:
-                    graph.edges.add(
-                        (min(ckey.data, node.key.data), max(ckey.data, node.key.data))
-                    )
-                    continue
                 if ckey.data in boundary:
+                    boundary[ckey.data].members.add(node.key.data)
                     continue
-                if len(graph.nodes) >= max_nodes:
-                    graph.complete = False
-                    unresolved += 1
-                    continue
-                verdict = decide_mgs(crep, max_len, max_states)
-                if verdict.yes:
+                if ckey.data not in graph.nodes:
+                    if len(graph.nodes) >= max_nodes:
+                        graph.complete = False
+                        unresolved += 1
+                        continue
+                    verdict = decide_mgs(crep, max_len, max_states)
+                    if verdict.no:
+                        boundary[ckey.data] = BoundaryEntry(
+                            ckey, crep, verdict.obstruction, {node.key.data}
+                        )
+                        continue
+                    if not verdict.yes:
+                        unresolved += 1
+                        continue
                     cnode = ExchangeNode(
                         ckey, crep, is_acyclic(crep), node.layer + 1, mgs=verdict
                     )
                     graph.nodes[ckey.data] = cnode
-                    graph.edges.add(
-                        (min(ckey.data, node.key.data), max(ckey.data, node.key.data))
-                    )
                     nxt.append(cnode)
-                elif verdict.no:
-                    boundary[ckey.data] = BoundaryEntry(ckey, crep, verdict.obstruction)
-                else:
-                    unresolved += 1
+                graph.add_edge(ckey.data, node.key.data)
         frontier = nxt
     complete = graph.complete and unresolved == 0
     entries = [boundary[k] for k in sorted(boundary)]
@@ -357,17 +357,9 @@ def graph_to_dot(graph: ExchangeGraph, boundary: Optional[list[BoundaryEntry]] =
     shorts = {k: CanonicalKey(k).short() for k in graph.nodes}
     for a, b in graph.sorted_edges():
         lines.append(f'  "{shorts[a]}" -- "{shorts[b]}";')
-    if boundary:
-        # boundary adjacency: recompute against component members
-        member_keys = set(graph.nodes)
-        for entry in boundary:
-            for k in range(1, entry.quiver.n + 1):
-                nb = mutate(entry.quiver, k)
-                nkey = canonical_form(nb)[0]
-                if nkey.data in member_keys:
-                    pair = sorted((entry.key.short(), nkey.short()))
-                    line = f'  "{pair[0]}" -- "{pair[1]}";'
-                    if line not in lines:
-                        lines.append(line)
+    for entry in boundary or ():
+        # edges to the members psi_component saw one mutation away
+        pairs = (sorted((entry.key.short(), shorts[m])) for m in entry.members)
+        lines.extend(sorted(f'  "{a}" -- "{b}";' for a, b in pairs))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -20,9 +20,9 @@ import numpy as np
 
 from .core import (
     DirectSumDecomposition,
-    MULT_CAP,
     Quiver,
     Rank3Params,
+    _mutate_matrix,
     induced_subquiver,
     is_acyclic,
     mutate,
@@ -68,7 +68,8 @@ class FramedQuiver:
         return nonneg
 
     def mutable_block(self) -> Quiver:
-        return Quiver(self.ext[: self.n, : self.n])
+        # skew-symmetric and within the cap: frame and mutate_framed keep it so
+        return Quiver._trusted(self.ext[: self.n, : self.n].copy())
 
     def c_block(self) -> np.ndarray:
         return self.ext[: self.n, self.n :]
@@ -125,17 +126,7 @@ def mutate_framed(fq: FramedQuiver, k: int) -> FramedQuiver:
     """
     if not (1 <= k <= fq.n):
         raise QuiverError(f"vertex {k} outside mutable range 1..{fq.n}")
-    kk = k - 1
-    ext = fq.ext
-    pos_in = np.maximum(ext[:, kk], 0)
-    pos_out = np.maximum(ext[kk, :], 0)
-    new = ext + np.outer(pos_in, pos_out) - np.outer(pos_out, pos_in)
-    new[kk, :] = -ext[kk, :]
-    new[:, kk] = -ext[:, kk]
-    new[fq.n :, fq.n :] = 0
-    if np.any(np.abs(new) > MULT_CAP):
-        raise QuiverError(f"framed mutation at {k} overflows the multiplicity cap")
-    return FramedQuiver(new, fq.n)
+    return FramedQuiver(_mutate_matrix(fq.ext, k, fq.n, "framed mutation"), fq.n)
 
 
 GREEN = "green"

@@ -44,6 +44,8 @@ def loads_quiver(text: str) -> Quiver:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise QuiverError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise QuiverError("JSON is nested too deeply") from exc
     return quiver_from_json(data)
 
 

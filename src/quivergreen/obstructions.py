@@ -761,13 +761,16 @@ def louise_from_json(data) -> LouiseCertificate:
         return LouiseAcyclicLeaf()
     if kind == "node":
         try:
-            mutations = tuple(int(v) for v in data["mutations"])
-            i, j = (int(v) for v in data["edge"])
+            mutations = tuple(data["mutations"])
+            i, j = data["edge"]
             children = data["children"]
             if len(children) != 3:
                 raise CertificateError("a node needs exactly three children")
         except (KeyError, TypeError, ValueError) as exc:
             raise CertificateError(f"malformed certificate node: {exc}") from exc
+        # type(), not isinstance(): a bool is an int, and must be rejected too
+        if any(type(v) is not int for v in (*mutations, i, j)):
+            raise CertificateError("certificate vertices must be JSON integers")
         return LouiseNode(
             mutations,
             (i, j),

@@ -296,3 +296,50 @@ def random_acyclic_quiver(rng, n: int, max_mult: int) -> Quiver:
     perm = rng.permutation(n)
     b = b[np.ix_(perm, perm)]
     return Quiver(b)
+
+
+def ending_kcycle_brute(q: Quiver):
+    """``find_ending_kcycle`` from its definition: over every cyclic vertex
+    sequence ``v1 -> ... -> vk -> v1`` of single arrows with no other arrows
+    among its vertices and with no vertex but ``vk`` joined to the rest of
+    the quiver, the least k and then the least sequence, as ``(cycle, vk)``."""
+    b = [[int(x) for x in row] for row in q.b]
+    verts = range(1, q.n + 1)
+    for k in range(3, q.n + 1):
+        found = []
+        for cyc in permutations(verts, k):
+            arcs = {(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
+            if any(b[t - 1][h - 1] != 1 for t, h in arcs):
+                continue
+            chords = [
+                (u, w)
+                for u, w in combinations(cyc, 2)
+                if b[u - 1][w - 1] != 0 and (u, w) not in arcs and (w, u) not in arcs
+            ]
+            attached = [
+                v
+                for v in cyc[:-1]
+                if any(b[v - 1][w - 1] != 0 for w in verts if w not in cyc)
+            ]
+            if not chords and not attached:
+                found.append(cyc)
+        if found:
+            return min(found), min(found)[-1]
+    return None
+
+
+def dot_boundary_lines_reference(graph, boundary) -> set[str]:
+    """DOT edge lines between boundary entries and component members, found
+    from the boundary side: mutate every entry at every vertex and keep the
+    results whose canonical key is a member."""
+    from quivergreen.canonical import canonical_form
+    from quivergreen.core import mutate
+
+    lines = set()
+    for entry in boundary:
+        for k in range(1, entry.quiver.n + 1):
+            nkey = canonical_form(mutate(entry.quiver, k))[0]
+            if nkey.data in graph.nodes:
+                a, b = sorted((entry.key.short(), nkey.short()))
+                lines.add(f'  "{a}" -- "{b}";')
+    return lines

@@ -24,6 +24,7 @@ from oracles import (
     arrow_dict,
     chordless_cycles_brute,
     cycle_is_oriented,
+    ending_kcycle_brute,
     has_directed_cycle_paths,
     naive_mutate_arrows,
     quiver_to_arrow_list,
@@ -275,3 +276,61 @@ def test_mutation_invariants_random():
         assert mutate(m, k) == q
         assert b_matrix_rank(m) == b_matrix_rank(q)
         assert opposite(mutate(q, k)) == mutate(opposite(q), k)
+
+
+def test_internal_results_are_valid_read_only_quivers():
+    # mutate, relabel, opposite, induced_subquiver and mutable_block skip the
+    # constructor checks; each result must pass them all the same
+    from quivergreen.green import frame, mutate_framed
+
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        q = random_quiver(rng, n, 3)
+        perm = [int(v) + 1 for v in rng.permutation(n)]
+        subset = [v for v in range(1, n + 1) if rng.random() < 0.6] or [n]
+        results = [mutate(q, k) for k in range(1, n + 1)]
+        results += [relabel(q, perm), opposite(q), induced_subquiver(q, subset)[0]]
+        fq = frame(q)
+        results.append(fq.mutable_block())
+        for _ in range(3):
+            fq = mutate_framed(fq, int(rng.integers(1, n + 1)))
+            results.append(fq.mutable_block())
+        for r in results:
+            assert r == Quiver(r.b.copy())
+            assert hash(r) == hash(Quiver(r.b.copy()))
+            assert r.b.dtype == np.int64 and r.n == r.b.shape[0]
+            assert not r.b.flags.writeable
+            with pytest.raises(ValueError):
+                r.b[0, 0] = 1
+
+
+def planted_cycle_quiver(rng, n: int) -> Quiver:
+    """Sparse arrows of multiplicity 1 or 2 plus an oriented cycle on random
+    vertices, mostly of single arrows, so ending cycles and near misses
+    (a double arrow, a chord, a second attached vertex) are common."""
+    b = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.3:
+                b[i, j] = rng.choice([1, -1, 2, -2])
+                b[j, i] = -b[i, j]
+    k = int(rng.integers(3, n + 1))
+    cyc = [int(v) for v in rng.permutation(n)[:k]]
+    for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+        b[u, w] = rng.choice([1, 1, 1, 2])
+        b[w, u] = -b[u, w]
+    return Quiver(b)
+
+
+def test_find_ending_kcycle_matches_definition():
+    rng = np.random.default_rng(2024)
+    lengths = set()
+    for i in range(220):
+        n = int(rng.integers(3, 8))
+        q = planted_cycle_quiver(rng, n) if i % 4 else random_quiver(rng, n, 2)
+        expected = ending_kcycle_brute(q)
+        assert find_ending_kcycle(q) == expected, q
+        if expected is not None:
+            lengths.add(len(expected[0]))
+    assert lengths >= {3, 4, 5}

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,14 @@ from quivergreen.exchange import (
     psi_component,
 )
 from quivergreen.green import verify_mgs
-from quivergreen.obstructions import recheck_obstruction
+from quivergreen.obstructions import MgsVerdict, decide_mgs, recheck_obstruction
 
-from oracles import mutation_class_brute, random_acyclic_quiver, random_quiver
+from oracles import (
+    dot_boundary_lines_reference,
+    mutation_class_brute,
+    random_acyclic_quiver,
+    random_quiver,
+)
 
 A3 = Quiver.from_arrows(3, [(1, 2), (2, 3)])
 
@@ -227,3 +234,61 @@ def test_explore_node_budget_leaves_no_dangling_edges(capsys):
     assert code == 2
     assert "Traceback" not in captured.err
     assert "graph incomplete" in captured.err
+
+
+def _rank3_mgs_seeds():
+    """One quiver per isomorphism class of rank-3 quivers with multiplicities
+    at most 2 that admits an MGS."""
+    seeds = {}
+    for x, y, z in product(range(-2, 3), repeat=3):
+        q = Quiver([[0, x, y], [-x, 0, z], [-y, -z, 0]])
+        seeds.setdefault(canonical_key(q).data, q)
+    return [q for q in seeds.values() if decide_mgs(q).yes]
+
+
+def test_dot_boundary_edges_match_boundary_side_mutation():
+    k4 = get("K4").quiver
+    cases = [psi_component(k4), psi_component(k4, max_nodes=14)]
+    cases += [psi_component(q) for q in _rank3_mgs_seeds()]
+    assert len(cases) == 26
+    assert not cases[1].complete and cases[1].boundary  # capped, with a boundary
+    seen = 0
+    for res in cases:
+        ref = dot_boundary_lines_reference(res.graph, res.boundary)
+        members_only = graph_to_dot(res.graph).splitlines()
+        dot = graph_to_dot(res.graph, res.boundary).splitlines()
+        edges = [line for line in dot if " -- " in line]
+        member_edges = [line for line in members_only if " -- " in line]
+        assert set(edges) == set(member_edges) | ref
+        # boundary lines come last, one sorted block per entry in entry order
+        tail = edges[len(member_edges):]
+        blocks = []
+        for entry in res.boundary:
+            short = f'"{entry.key.short()}"'
+            blocks += sorted(line for line in ref if short in line)
+        assert tail == blocks
+        seen += len(ref)
+    assert seen >= 20
+
+
+def test_psi_records_members_that_reach_a_known_boundary_entry(monkeypatch):
+    # Declare the A3 path orientation obstructed.  From the source-middle
+    # orientation, psi finds it first; the sink-middle orientation, a member
+    # too, reaches it only once it is already on the boundary.
+    import quivergreen.exchange as exchange
+
+    path_key = canonical_key(Quiver.from_arrows(3, [(1, 2), (2, 3)])).data
+    decide = exchange.decide_mgs
+
+    def fake_decide(q, *args):
+        if canonical_key(q).data == path_key:
+            return MgsVerdict("no")
+        return decide(q, *args)
+
+    monkeypatch.setattr(exchange, "decide_mgs", fake_decide)
+    res = psi_component(Quiver.from_arrows(3, [(2, 1), (2, 3)]))
+    assert res.size == 2 and len(res.boundary) == 1
+    assert res.boundary[0].members == set(res.graph.nodes)
+    ref = dot_boundary_lines_reference(res.graph, res.boundary)
+    dot = graph_to_dot(res.graph, res.boundary).splitlines()
+    assert len(ref) == 2 and ref <= set(dot)

@@ -268,3 +268,34 @@ def test_cli_rejects_bool_vertex_count_without_traceback(tmp_path):
     assert proc.returncode == 1  # the input-error exit code
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def _run_cli_subprocess(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(quivergreen.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "quivergreen.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_cli_deeply_nested_quiver_is_an_input_error(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text('{"b": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    proc = _run_cli_subprocess("decide", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_cli_deeply_nested_certificate_is_an_input_error(tmp_path):
+    cert = '{"kind": "acyclic"}'
+    for _ in range(3000):
+        cert = (
+            '{"kind": "node", "mutations": [], "edge": [1, 2], "children": ['
+            + cert
+            + ', {"kind": "acyclic"}, {"kind": "acyclic"}]}'
+        )
+    path = tmp_path / "cert.json"
+    path.write_text(cert)
+    proc = _run_cli_subprocess("louise", "verify", "catalog:K4", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

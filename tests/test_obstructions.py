@@ -412,3 +412,23 @@ def test_louise_malformed_raises():
 def test_louise_json_roundtrip():
     cert = louise_from_json(get("K4").known_facts["louise"])
     assert louise_from_json(louise_to_json(cert)) == cert
+
+
+def _node_json(mutations, edge):
+    leaf = {"kind": "acyclic"}
+    return {
+        "kind": "node", "mutations": mutations, "edge": edge, "children": [leaf] * 3
+    }
+
+
+def test_louise_from_json_rejects_float_mutation():
+    # 1.7 used to load as vertex 1
+    with pytest.raises(CertificateError):
+        louise_from_json(_node_json([1.7], [1, 2]))
+
+
+def test_louise_from_json_rejects_bool_and_string_edge():
+    # [true, "2"] used to load as the edge (1, 2)
+    with pytest.raises(CertificateError):
+        louise_from_json(_node_json([], [True, "2"]))
+    assert louise_from_json(_node_json([3], [1, 2])).edge == (1, 2)

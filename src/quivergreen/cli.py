@@ -23,6 +23,8 @@ from . import catalog as cat
 from .core import Quiver, is_acyclic, mutate
 from .errors import CapabilityError, CertificateError, QuiverError
 from .exchange import (
+    DEFAULT_MAX_MULT,
+    DEFAULT_MAX_NODES,
     enumerate_acyclic,
     explore,
     graph_to_dot,
@@ -355,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="write output to a file instead of stdout")
     parser.add_argument("--max-len", dest="max_len", type=int, default=None)
     parser.add_argument("--max-states", dest="max_states", type=int, default=None)
-    parser.add_argument("--max-nodes", dest="max_nodes", type=int, default=10**5)
-    parser.add_argument("--max-mult", dest="max_mult", type=int, default=64)
+    parser.add_argument("--max-nodes", dest="max_nodes", type=int, default=DEFAULT_MAX_NODES)
+    parser.add_argument("--max-mult", dest="max_mult", type=int, default=DEFAULT_MAX_MULT)
     parser.add_argument("--depth", type=int, default=8)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -209,6 +209,9 @@ class DirectSumDecomposition:
 
     def check(self, q: Quiver) -> bool:
         """Re-verify both defining conditions against ``q``."""
+        # type(), not isinstance(): True, like 1.0, would pass the set test as 1
+        if any(type(v) is not int for v in (*self.part_left, *self.part_right)):
+            return False
         left, right = set(self.part_left), set(self.part_right)
         if left & right or left | right != set(range(1, q.n + 1)):
             return False

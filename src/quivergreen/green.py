@@ -226,12 +226,9 @@ def check_mgs(q: Quiver, seq) -> tuple[Optional[MgsCertificate], str]:
     if sigma is None:
         return None, "final frozen block is not minus a permutation matrix"
     # relabelling the final block by sigma must give back the input
-    final = fq.mutable_block()
-    n = q.n
-    for i in range(n):
-        for j in range(n):
-            if q.b[sigma[i] - 1, sigma[j] - 1] != final.b[i, j]:
-                return None, "induced permutation does not map the result back"
+    idx = [s - 1 for s in sigma]
+    if not np.array_equal(q.b[np.ix_(idx, idx)], fq.mutable_block().b):
+        return None, "induced permutation does not map the result back"
     return MgsCertificate(seq, sigma), ""
 
 

@@ -12,9 +12,10 @@ The pieces:
 * good-vertex analysis and the closed-form good-sequence trajectory of the
   rank-4 triangle-plus-apex family, whose parameters grow forever and
   therefore forbid a maximal green sequence;
-* ``decide_mgs``: acyclic and rank-3 closed forms, bad-subquiver scan,
-  family matching, direct-sum and cycle-ending decompositions, then bounded
-  search;
+* ``decide_mgs``: acyclic and rank-3 closed forms, a bad-subquiver scan (the
+  cyclic rank-3 rule on vertex triples plus no-MGS catalog matches at the
+  catalog's ranks), family matching, direct-sum and cycle-ending
+  decompositions, then bounded search;
 * separating-edge (Louise) certificate verification.
 """
 
@@ -100,23 +101,6 @@ def _cycle_constraints(q: Quiver):
     return edges, rows
 
 
-def _gf2_consistent(rows: list[tuple[int, int]]) -> bool:
-    basis: dict[int, tuple[int, int]] = {}
-    for mask, parity in rows:
-        while mask:
-            low = mask & (-mask)
-            if low not in basis:
-                basis[low] = (mask, parity)
-                break
-            bm, bp = basis[low]
-            mask ^= bm
-            parity ^= bp
-        else:
-            if parity:
-                return False
-    return True
-
-
 def _gf2_unsat_witness(rows: list[tuple[int, int]]) -> Optional[list[int]]:
     """Indices of rows XOR-ing to the contradiction 0 = 1, or None if SAT."""
     basis: dict[int, tuple[int, int, int]] = {}
@@ -152,7 +136,7 @@ def solve_admissibility(q: Quiver) -> AdmissibilityResult:
         subset = list(witness)
         for idx in list(subset):
             trial = [i for i in subset if i != idx]
-            if not _gf2_consistent([plain[i] for i in trial]):
+            if _gf2_unsat_witness([plain[i] for i in trial]) is not None:
                 subset = trial
         return AdmissibilityResult(
             satisfiable=False,
@@ -163,7 +147,7 @@ def solve_admissibility(q: Quiver) -> AdmissibilityResult:
     for pos in range(len(edges)):
         bit = 1 << pos
         trial = plain + [(f, v) for f, v in fixed] + [(bit, 0)]
-        value = 0 if _gf2_consistent(trial) else 1
+        value = 0 if _gf2_unsat_witness(trial) is None else 1
         fixed.append((bit, value))
     signs = tuple(
         (edges[pos], 1 if value else -1) for pos, (_, value) in enumerate(fixed)
@@ -335,50 +319,55 @@ class MgsVerdict:
 # ---------------------------------------------------------------------------
 
 
-def cyclic_rank3_shape(q: Quiver) -> Optional[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """For a rank-3 quiver that is an oriented cycle, the vertex order
-    ``(v1, v2, v3)`` and multiplicities ``(a, b, c)`` with ``a`` arrows
-    v1 -> v2, ``b`` arrows v2 -> v3, ``c`` arrows v3 -> v1; else None."""
-    if q.n != 3:
-        return None
-    for order in ((1, 2, 3), (1, 3, 2)):
-        v1, v2, v3 = order
-        a = q.mult(v1, v2)
-        b = q.mult(v2, v3)
-        c = q.mult(v3, v1)
-        if a > 0 and b > 0 and c > 0:
-            return order, (a, b, c)
+def _rank3_cycle(
+    rows: list[list[int]], vs: tuple[int, int, int]
+) -> Optional[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    """If the vertices ``vs`` (``rows`` the matrix as nested lists) span an
+    oriented 3-cycle, its order ``(v1, v2, v3)`` in positions 1..3 of ``vs``,
+    ``(1, 2, 3)`` or ``(1, 3, 2)``, and multiplicities ``(a, b, c)`` with
+    ``a`` arrows v1 -> v2, ``b`` arrows v2 -> v3, ``c`` arrows v3 -> v1;
+    else None."""
+    x, y, z = (v - 1 for v in vs)
+    a, b, c = rows[x][y], rows[y][z], rows[z][x]
+    if a > 0 and b > 0 and c > 0:
+        return (1, 2, 3), (a, b, c)
+    if a < 0 and b < 0 and c < 0:  # the cycle x -> z -> y -> x
+        return (1, 3, 2), (-c, -b, -a)
     return None
 
 
-def _no_mgs_catalog_entries():
+def _no_mgs_catalog_entries() -> list[tuple[str, Quiver]]:
+    """(name, quiver) of the catalog entries whose ``no_mgs`` fact is True,
+    by name.  Rank-3 entries are skipped: a rank-3 quiver without an MGS is
+    an oriented 3-cycle with all multiplicities at least 2, so the rank-3
+    rule already catches every one of them."""
     from . import catalog
 
     out = []
-    for name in ("Markov", "X7", "X7_twin"):
-        out.append((name, catalog.get(name).quiver))
+    for name in catalog.names():
+        entry = catalog.get(name)
+        if entry.known_facts.get("no_mgs") is True and entry.quiver.n != 3:
+            out.append((name, entry.quiver))
     return out
 
 
 def _find_bad_subquiver(q: Quiver) -> Optional[SubquiverObstruction]:
-    """Scan induced subquivers (all vertex subsets of size >= 3) for an
-    oriented 3-cycle with all multiplicities >= 2 or a catalog no-MGS quiver."""
+    """First full subquiver with no MGS by a stated rule: the rank-3 rule
+    (an oriented 3-cycle with all multiplicities at least 2) on vertex
+    triples in lexicographic order, then a match against the no-MGS catalog
+    entries, tried only at their ranks (by size, subset, then entry)."""
     verts = range(1, q.n + 1)
-    catalog_entries = [
-        (name, cq) for name, cq in _no_mgs_catalog_entries() if cq.n <= q.n
-    ]
-    for size in range(3, q.n + 1):
-        sized_entries = [(nm, cq) for nm, cq in catalog_entries if cq.n == size]
+    rows = q.b.tolist()
+    for vs in combinations(verts, 3):
+        shape = _rank3_cycle(rows, vs)
+        if shape is not None and min(shape[1]) >= 2:
+            return SubquiverObstruction(vs, Rank3CyclicObstruction(*shape))
+    entries = _no_mgs_catalog_entries()
+    for size in sorted({cq.n for _, cq in entries if cq.n <= q.n}):
         for vs in combinations(verts, size):
             sub, _ = induced_subquiver(q, vs)
-            if size == 3:
-                shape = cyclic_rank3_shape(sub)
-                if shape is not None and min(shape[1]) >= 2:
-                    return SubquiverObstruction(
-                        vs, Rank3CyclicObstruction(shape[0], shape[1])
-                    )
-            for name, cq in sized_entries:
-                if are_isomorphic(sub, cq) is not None:
+            for name, cq in entries:
+                if cq.n == size and are_isomorphic(sub, cq) is not None:
                     return SubquiverObstruction(vs, CatalogNoMgsObstruction(name))
     return None
 
@@ -475,9 +464,9 @@ def _match_r_obstruction(q: Quiver) -> Optional[RFamilyObstruction]:
 
 def good_vertices(q: Quiver) -> tuple[int, ...]:
     """Vertices that are not the head of a multiple arrow and whose mutation
-    creates no known MGS-free induced subquiver.  Supported for rank 3 and 4,
-    where the subquiver test reduces to the cyclic rank-3 rule plus the
-    bundled no-MGS catalog."""
+    creates no full subquiver that the bad-subquiver scan flags (the cyclic
+    rank-3 rule on vertex triples plus no-MGS catalog matches at the
+    catalog's ranks).  Supported for rank 3 and 4."""
     if q.n not in (3, 4):
         raise CapabilityError("good-vertex analysis is implemented for rank 3 and 4")
     out = []
@@ -500,7 +489,7 @@ def recheck_obstruction(q: Quiver, obs: Obstruction) -> bool:
     if isinstance(obs, Rank3CyclicObstruction):
         if q.n != 3:
             return False
-        shape = cyclic_rank3_shape(q)
+        shape = _rank3_cycle(q.b.tolist(), (1, 2, 3))
         return (
             shape is not None
             and shape == (obs.vertices, obs.mults)
@@ -532,7 +521,7 @@ def recheck_obstruction(q: Quiver, obs: Obstruction) -> bool:
 
 
 def _decide_rank3(q: Quiver) -> MgsVerdict:
-    shape = cyclic_rank3_shape(q)
+    shape = _rank3_cycle(q.b.tolist(), (1, 2, 3))
     if shape is None:
         raise InternalInvariantError("rank-3 decider called on a non-cyclic quiver")
     (v1, v2, v3), (a, b, c) = shape

@@ -343,3 +343,48 @@ def dot_boundary_lines_reference(graph, boundary) -> set[str]:
                 a, b = sorted((entry.key.short(), nkey.short()))
                 lines.add(f'  "{a}" -- "{b}";')
     return lines
+
+
+def bad_subquiver_reference(q: Quiver):
+    """The bad-subquiver scan over every vertex subset: by size 3..n, then
+    subsets in lexicographic order, try the cyclic rank-3 rule (a 3-subset
+    spanning an oriented cycle with all multiplicities at least 2), then each
+    catalog entry whose ``no_mgs`` fact is True, by name, of that size, by
+    permutation search.  Matrix entries are read through ``q.mult``."""
+    from quivergreen import catalog
+    from quivergreen.obstructions import (
+        CatalogNoMgsObstruction,
+        Rank3CyclicObstruction,
+        SubquiverObstruction,
+    )
+
+    entries = []
+    for name in catalog.names():
+        entry = catalog.get(name)
+        if entry.known_facts.get("no_mgs") is True:
+            cq = entry.quiver
+            rows = [[cq.mult(i, j) for j in range(1, cq.n + 1)] for i in range(1, cq.n + 1)]
+            entries.append((name, rows))
+
+    def isomorphic(m, rows):
+        # equal sorted rows is necessary; only then try every permutation
+        if sorted(sorted(r) for r in m) != sorted(sorted(r) for r in rows):
+            return False
+        size = len(m)
+        return any(
+            all(rows[p[i]][p[j]] == m[i][j] for i in range(size) for j in range(size))
+            for p in permutations(range(size))
+        )
+
+    for size in range(3, q.n + 1):
+        for vs in combinations(range(1, q.n + 1), size):
+            m = [[q.mult(v, w) for w in vs] for v in vs]
+            if size == 3:
+                for order in ((1, 2, 3), (1, 3, 2)):
+                    mults = tuple(m[order[i] - 1][order[(i + 1) % 3] - 1] for i in range(3))
+                    if min(mults) >= 2:
+                        return SubquiverObstruction(vs, Rank3CyclicObstruction(order, mults))
+            for name, rows in entries:
+                if len(rows) == size and isomorphic(m, rows):
+                    return SubquiverObstruction(vs, CatalogNoMgsObstruction(name))
+    return None

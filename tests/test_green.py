@@ -259,6 +259,18 @@ def test_direct_sum_mgs_names_failed_premise():
         )
 
 
+def test_direct_sum_rejects_non_int_part_labels():
+    # 1.0 and True pass the set test (they equal 1) but are not vertices
+    q = Quiver.from_arrows(2, [(1, 2)])
+    single = acyclic_mgs(Quiver([[0]]))
+    assert DirectSumDecomposition((1,), (2,), ((1, 2),), 1).check(q)
+    for left, right in (((1.0,), (2,)), ((True,), (2,)), ((1,), (2.0,))):
+        decomp = DirectSumDecomposition(left, right, ((1, 2),), 1)
+        assert decomp.check(q) is False
+        with pytest.raises(CertificateError, match="decomposition"):
+            direct_sum_mgs(q, decomp, single, single)
+
+
 def test_kcycle_mgs_cases():
     # bare oriented triangle: core is the single vertex 3
     tri = make_rank3(1, 1, 1)

@@ -5,6 +5,7 @@ import pytest
 
 from quivergreen.canonical import canonical_key
 from quivergreen.catalog import get, make_lin3, make_r_family, make_rank3, make_theta
+from quivergreen.catalog import names as catalog_names
 from quivergreen.core import (
     Quiver,
     RFamilyParams,
@@ -12,6 +13,7 @@ from quivergreen.core import (
     is_acyclic,
     mutate,
     opposite,
+    relabel,
 )
 from quivergreen.errors import CapabilityError, CertificateError, QuiverError
 from quivergreen.green import verify_mgs
@@ -34,9 +36,15 @@ from quivergreen.obstructions import (
     recheck_obstruction,
     solve_admissibility,
     verify_louise_certificate,
+    _find_bad_subquiver,
 )
 
-from oracles import admissible_brute, random_acyclic_quiver, random_quiver
+from oracles import (
+    admissible_brute,
+    bad_subquiver_reference,
+    random_acyclic_quiver,
+    random_quiver,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +168,76 @@ def test_mutation_acyclic_witness_replays():
             from quivergreen.core import mutate_sequence
 
             assert is_acyclic(mutate_sequence(q, probe.sequence))
+
+
+# ---------------------------------------------------------------------------
+# the bad-subquiver scan
+# ---------------------------------------------------------------------------
+
+
+def test_bad_subquiver_scan_matches_reference_on_random_quivers():
+    rng = np.random.default_rng(97)
+    found = 0
+    for _ in range(210):
+        n = int(rng.integers(3, 9))
+        q = random_quiver(rng, n, int(rng.integers(1, 4)))
+        expected = bad_subquiver_reference(q)
+        assert _find_bad_subquiver(q) == expected, q.arrows()
+        found += expected is not None
+    assert 0 < found < 210  # both outcomes occur
+
+
+def _with_eighth_vertex(q: Quiver, attach: tuple[int, ...]) -> Quiver:
+    """``q`` (rank 7) plus vertex 8 with ``attach[v-1]`` arrows 8 -> v
+    (negative: v -> 8)."""
+    b = np.zeros((8, 8), dtype=np.int64)
+    b[:7, :7] = q.b
+    b[7, :7] = attach
+    b[:7, 7] = [-m for m in attach]
+    return Quiver(b)
+
+
+def test_bad_subquiver_scan_matches_reference_on_catalog_and_x7_extensions():
+    for name in catalog_names():
+        q = get(name).quiver
+        assert _find_bad_subquiver(q) == bad_subquiver_reference(q), name
+    rng = np.random.default_rng(101)
+    attachments = [
+        (0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 0, 0, 0, 0, 1),
+        (1, 0, 0, 0, 0, 0, -1),
+        (1, -1, 1, -1, 1, -1, 0),
+        (-1, 1, 0, 1, 0, -1, 1),
+        (2, -2, 0, 0, 0, 0, 0),
+        (0, 0, 0, 2, 0, 0, -2),
+    ]
+    caught = set()
+    for name in ("X7", "X7_twin"):
+        for attach in attachments:
+            q = _with_eighth_vertex(get(name).quiver, attach)
+            for _ in range(3):
+                q = relabel(q, tuple(int(v) + 1 for v in rng.permutation(8)))
+                bad = _find_bad_subquiver(q)
+                assert bad is not None
+                assert bad == bad_subquiver_reference(q), (name, attach)
+                caught.add(type(bad.inner))
+    assert caught == {CatalogNoMgsObstruction, Rank3CyclicObstruction}
+
+
+def test_rank3_no_mgs_catalog_entries_are_caught_by_rank3_rule():
+    # the scan skips rank-3 catalog entries; the rank-3 rule must cover them
+    rank3 = [
+        name
+        for name in catalog_names()
+        if get(name).known_facts.get("no_mgs") is True and get(name).quiver.n == 3
+    ]
+    assert rank3  # Markov
+    for name in rank3:
+        q = get(name).quiver
+        bad = _find_bad_subquiver(q)
+        assert isinstance(bad.inner, Rank3CyclicObstruction), name
+        assert bad.vertices == (1, 2, 3)
+        assert recheck_obstruction(q, bad.inner)
 
 
 # ---------------------------------------------------------------------------

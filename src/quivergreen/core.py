@@ -36,6 +36,16 @@ def _require_int(x, what: str) -> int:
     return int(x)
 
 
+def _require_budget(x, what: str) -> int:
+    """A search budget (``max_len``, ``max_states``, ``max_nodes``,
+    ``max_mult``): an integer of at least 1, checked on entry so that a bad
+    value is an input error rather than an empty search."""
+    value = _require_int(x, what)
+    if value < 1:
+        raise QuiverError(f"{what} must be at least 1, got {x!r}")
+    return value
+
+
 def _check_vertex_count(n: int) -> None:
     if n < 1:
         raise QuiverError("a quiver needs at least one vertex")

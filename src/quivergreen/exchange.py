@@ -14,6 +14,7 @@ from typing import Optional
 from .canonical import CanonicalKey, canonical_form
 from .core import (
     Quiver,
+    _require_budget,
     b_matrix_rank,
     is_acyclic,
     mutate,
@@ -86,8 +87,8 @@ def explore(
     graph is flagged incomplete whenever truncation or the node budget cut
     the search short.
     """
-    if max_nodes < 1:
-        raise QuiverError("max_nodes must be at least 1")
+    max_nodes = _require_budget(max_nodes, "max_nodes")
+    max_mult = _require_budget(max_mult, "max_mult")
     graph = ExchangeGraph(meta={"max_nodes": max_nodes, "max_mult": max_mult})
     key, rep = _canonical_rep(q)
     root = ExchangeNode(
@@ -189,12 +190,15 @@ def psi_component(
 
     Neighbours with an MGS are expanded; neighbours with an obstruction form
     the boundary and are never expanded; an "unknown" verdict anywhere marks
-    the result incomplete rather than guessing.
+    the result incomplete rather than guessing.  ``max_len`` and
+    ``max_states`` are checked by the first ``decide_mgs`` call, before any
+    neighbour is visited.
     """
     if max_len is None:
         max_len = default_max_len(q.n) + q.n  # component members vary in girth
     if max_states is None:
         max_states = DEFAULT_MAX_STATES
+    max_nodes = _require_budget(max_nodes, "max_nodes")
     key, rep = _canonical_rep(q)
     start = decide_mgs(rep, max_len, max_states)
     if not start.yes:

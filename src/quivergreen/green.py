@@ -19,10 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    MULT_CAP,
     DirectSumDecomposition,
     Quiver,
     Rank3Params,
     _mutate_matrix,
+    _require_budget,
     induced_subquiver,
     is_acyclic,
     mutate,
@@ -41,7 +43,7 @@ class FramedQuiver:
     mutable vertices ``1..n`` and frozen vertices ``n+1..2n``, with the
     frozen-frozen block identically zero."""
 
-    __slots__ = ("ext", "n", "_bytes", "_green")
+    __slots__ = ("ext", "n", "_green")
 
     def __init__(self, ext: np.ndarray, n: int):
         ext = np.asarray(ext, dtype=np.int64)
@@ -50,7 +52,6 @@ class FramedQuiver:
         ext.setflags(write=False)
         self.ext = ext
         self.n = n
-        self._bytes = ext.tobytes()
         self._green = self._assert_sign_coherent()
 
     def _assert_sign_coherent(self) -> np.ndarray:
@@ -82,21 +83,16 @@ class FramedQuiver:
     def green_vertices(self) -> tuple[int, ...]:
         return tuple(int(i) + 1 for i in np.flatnonzero(self._green))
 
-    def red_vertices(self) -> tuple[int, ...]:
-        return tuple(int(i) + 1 for i in np.flatnonzero(~self._green))
-
     def all_red(self) -> bool:
         return not self._green.any()
 
-    def is_multiple_arrow_head(self, k: int) -> bool:
-        """True when some mutable arrow of multiplicity >= 2 points at ``k``."""
-        return bool(np.any(self.ext[: self.n, k - 1] >= 2))
-
     def __eq__(self, other):
-        return isinstance(other, FramedQuiver) and self._bytes == other._bytes
+        return isinstance(other, FramedQuiver) and np.array_equal(
+            self.ext, other.ext
+        )
 
     def __hash__(self):
-        return hash(self._bytes)
+        return hash(self.ext.tobytes())
 
     def __repr__(self):
         greens = ",".join(map(str, self.green_vertices()))
@@ -249,6 +245,63 @@ class SearchResult:
         return self.status == "found"
 
 
+def _frame_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:
+    """Top ``n`` rows ``B | C`` of the initial framed matrix as plain ints.
+    They fix the whole framed matrix (its bottom rows are ``-C^T | 0``), so
+    they serve as the exact key of a framed state."""
+    n = q.n
+    return tuple(
+        tuple(int(x) for x in q.b[i]) + tuple(int(i == j) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _mutate_rows(rows, green: int, k: int, n: int):
+    """Mutate the framed rows ``rows`` at mutable vertex ``k`` (0-based);
+    ``green`` has bit ``i`` set when vertex ``i+1`` is green.
+
+    Returns ``(child rows, child green bits)``, or None when an entry would
+    exceed ``MULT_CAP`` (where ``mutate_framed`` raises).  Row ``k`` is
+    negated; a row ``i`` with ``b_ik == 0`` is reused as is; any other row
+    becomes ``r[j] + b_ik * max(sign(b_ik) * r_k[j], 0)`` with ``-b_ik`` at
+    ``k``.  Every rebuilt c-row is checked for sign-coherence; reused rows
+    keep the parent's verdict, so every state the search builds is checked
+    in full.
+    """
+    rk = rows[k]
+    up = [x if x > 0 else 0 for x in rk]  # max(r_k[j], 0)
+    down = [-x if x < 0 else 0 for x in rk]  # max(-r_k[j], 0)
+    out = []
+    bad = -1
+    for i, r in enumerate(rows):
+        b = r[k]
+        if i == k:
+            row = tuple([-x for x in r])
+        elif b == 0:
+            out.append(r)
+            continue
+        else:
+            row = [x + b * y for x, y in zip(r, up if b > 0 else down)]
+            row[k] = -b
+            if max(row) > MULT_CAP or min(row) < -MULT_CAP:
+                return None
+            row = tuple(row)
+        out.append(row)
+        c = row[n:]
+        lo, hi = min(c), max(c)
+        if lo >= 0 and hi > 0:
+            green |= 1 << i
+        elif hi <= 0 and lo < 0:
+            green &= ~(1 << i)
+        elif bad < 0:
+            bad = i
+    if bad >= 0:
+        raise InternalInvariantError(
+            f"vertex {bad + 1} is neither green nor red; framed state corrupt"
+        )
+    return tuple(out), green
+
+
 def search_mgs(
     q: Quiver,
     max_len: Optional[int] = None,
@@ -273,6 +326,12 @@ def search_mgs(
     ``prune`` on, mutations at the head of a multiple arrow are never
     expanded; no MGS contains such a step.
 
+    The search runs on integer rows: a state is the tuple of the top ``n``
+    rows ``B | C`` of its framed matrix, mutated, capped and checked for
+    sign-coherence by :func:`_mutate_rows`.  The sequence it returns is
+    replayed by :func:`verify_mgs` on numpy ``FramedQuiver`` states, an
+    independent implementation, before it is reported.
+
     ``states`` counts the distinct framed states built over all passes,
     each once (every framed mutation is computed once per search), and
     ``max_states`` caps that count.  "exhausted" is only claimed when no
@@ -280,67 +339,77 @@ def search_mgs(
     or the next bound would exceed ``max_len``.  Branches cut off by the
     multiplicity cap downgrade the outcome to "budget".
     """
-    if max_len is None:
-        max_len = default_max_len(q.n)
-    if max_states is None:
-        max_states = DEFAULT_MAX_STATES
-    if max_len < 1:
-        raise QuiverError("max_len must be at least 1")
+    n = q.n
+    max_len = _require_budget(
+        default_max_len(n) if max_len is None else max_len, "max_len"
+    )
+    max_states = _require_budget(
+        DEFAULT_MAX_STATES if max_states is None else max_states, "max_states"
+    )
 
-    start = frame(q)
-    # memoised across passes: key -> (state, green count), and
-    # key -> [(k, child key or None when the mutation hit the cap), ...]
-    built: dict[bytes, tuple[FramedQuiver, int]] = {start._bytes: (start, q.n)}
-    edges: dict[bytes, list[tuple[int, Optional[bytes]]]] = {}
+    start = _frame_rows(q)
+    # every distinct state built, numbered in order of construction: rows
+    # -> number for dedup, number -> rows and green bits for expansion
+    number: dict[tuple, int] = {start: 0}
+    states = [start]
+    greens = [(1 << n) - 1]
+    # memoised across passes: number -> [(k, child number or -1 when the
+    # mutation hit the cap, child green count), ...]
+    edges: list[Optional[list[tuple[int, int, int]]]] = [None]
     capped = False
-    bound = min(q.n, max_len)
+    bound = min(n, max_len)
     while True:
         next_bound = None
-        reached = {start._bytes}
-        layer: dict[bytes, tuple[int, ...]] = {start._bytes: ()}
+        reached = {0}
+        layer: dict[int, tuple[int, ...]] = {0: ()}
         depth = 0
         while layer:
             depth += 1
-            next_layer: dict[bytes, tuple[int, ...]] = {}
-            for key, seq in layer.items():
-                out = edges.get(key)
+            next_layer: dict[int, tuple[int, ...]] = {}
+            for s, seq in layer.items():
+                out = edges[s]
                 if out is None:
-                    fq = built[key][0]
+                    rows, green = states[s], greens[s]
                     out = []
-                    for k in fq.green_vertices():
-                        if prune and fq.is_multiple_arrow_head(k):
+                    for kk in range(n):
+                        if not green >> kk & 1:
                             continue
-                        try:
-                            child = mutate_framed(fq, k)
-                        except QuiverError:
-                            out.append((k, None))
+                        if prune and any(r[kk] >= 2 for r in rows):
+                            continue  # head of a multiple arrow
+                        step = _mutate_rows(rows, green, kk, n)
+                        if step is None:
+                            out.append((kk + 1, -1, 0))
                             continue
-                        ckey = child._bytes
-                        if ckey not in built:
-                            green = int(np.count_nonzero(child.green_mask()))
-                            built[ckey] = (child, green)
-                            if len(built) > max_states:
-                                return SearchResult("budget", None, len(built))
-                        out.append((k, ckey))
-                    edges[key] = out
-                for k, ckey in out:
-                    if ckey is None:
+                        crows, cgreen = step
+                        c = number.get(crows)
+                        if c is None:
+                            c = number[crows] = len(states)
+                            states.append(crows)
+                            greens.append(cgreen)
+                            edges.append(None)
+                            if len(states) > max_states:
+                                return SearchResult("budget", None, len(states))
+                        out.append((kk + 1, c, cgreen.bit_count()))
+                    edges[s] = out
+                for k, c, cgreens in out:
+                    if c < 0:
                         capped = True
                         continue
-                    if ckey in reached:
+                    if c in reached:
                         continue  # reached at a shorter depth already
                     cseq = seq + (k,)
-                    if ckey in next_layer:
-                        if cseq < next_layer[ckey]:
-                            next_layer[ckey] = cseq
+                    old = next_layer.get(c)
+                    if old is not None:
+                        if cseq < old:
+                            next_layer[c] = cseq
                         continue
-                    need = depth + built[ckey][1]
+                    need = depth + cgreens
                     if need > bound:
                         if next_bound is None or need < next_bound:
                             next_bound = need
                         continue
-                    next_layer[ckey] = cseq
-            goals = [seq for key, seq in next_layer.items() if built[key][1] == 0]
+                    next_layer[c] = cseq
+            goals = [seq for c, seq in next_layer.items() if greens[c] == 0]
             if goals:
                 best = min(goals)
                 cert = verify_mgs(q, best)
@@ -348,12 +417,12 @@ def search_mgs(
                     raise InternalInvariantError(
                         f"search produced sequence {best} that fails verification"
                     )
-                return SearchResult("found", cert, len(built))
+                return SearchResult("found", cert, len(states))
             reached.update(next_layer)
             layer = next_layer
         if next_bound is None or next_bound > max_len:
             return SearchResult(
-                "budget" if capped else "exhausted", None, len(built)
+                "budget" if capped else "exhausted", None, len(states)
             )
         bound = next_bound
 

@@ -32,6 +32,7 @@ from .core import (
     Quiver,
     Rank3Params,
     RFamilyParams,
+    _require_budget,
     find_direct_sum,
     find_ending_kcycle,
     induced_cycles,
@@ -553,10 +554,12 @@ def decide_mgs(
     Either answer comes with a replayable certificate or a re-checked
     obstruction; running out of budget yields "unknown".
     """
-    if max_len is None:
-        max_len = default_max_len(q.n)
-    if max_states is None:
-        max_states = DEFAULT_MAX_STATES
+    max_len = _require_budget(
+        default_max_len(q.n) if max_len is None else max_len, "max_len"
+    )
+    max_states = _require_budget(
+        DEFAULT_MAX_STATES if max_states is None else max_states, "max_states"
+    )
     budgets = {"max_len": max_len, "max_states": max_states}
 
     def no(obstruction: Obstruction) -> MgsVerdict:

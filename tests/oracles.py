@@ -9,11 +9,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Optional
 
 import numpy as np
 
 from quivergreen.core import Quiver
-from quivergreen.green import frame, mutate_framed
+from quivergreen.errors import InternalInvariantError, QuiverError
+from quivergreen.green import (
+    DEFAULT_MAX_STATES,
+    FramedQuiver,
+    SearchResult,
+    default_max_len,
+    frame,
+    mutate_framed,
+    verify_mgs,
+)
 
 
 def naive_mutate_arrows(n: int, arrows: list[tuple[int, int]], k: int) -> dict:
@@ -236,8 +246,6 @@ def enumerate_green_mgs(q: Quiver, max_len: int) -> set[tuple[int, ...]]:
     """All maximal green sequences of length <= max_len by literal
     enumeration of every green sequence (no pruning, no deduplication).
     Branches whose multiplicities blow past the engine cap are skipped."""
-    from quivergreen.errors import QuiverError
-
     found = set()
     stack = [(frame(q), ())]
     while stack:
@@ -388,3 +396,88 @@ def bad_subquiver_reference(q: Quiver):
                 if len(rows) == size and isomorphic(m, rows):
                     return SubquiverObstruction(vs, CatalogNoMgsObstruction(name))
     return None
+
+
+def search_mgs_reference(q: Quiver, max_len=None, max_states=None, prune=True):
+    """The shortest-MGS search on numpy framed states, kept as the oracle for
+    ``green.search_mgs`` (which runs on integer rows): the same iterative
+    deepening on "depth + green count", with each state a ``FramedQuiver``
+    keyed by the bytes of its full matrix.  Status, certificate and
+    ``states`` must agree with the package search."""
+    if max_len is None:
+        max_len = default_max_len(q.n)
+    if max_states is None:
+        max_states = DEFAULT_MAX_STATES
+    if max_len < 1:
+        raise QuiverError("max_len must be at least 1")
+
+    start = frame(q)
+    start_key = start.ext.tobytes()
+    # memoised across passes: key -> (state, green count), and
+    # key -> [(k, child key or None when the mutation hit the cap), ...]
+    built: dict[bytes, tuple[FramedQuiver, int]] = {start_key: (start, q.n)}
+    edges: dict[bytes, list[tuple[int, Optional[bytes]]]] = {}
+    capped = False
+    bound = min(q.n, max_len)
+    while True:
+        next_bound = None
+        reached = {start_key}
+        layer: dict[bytes, tuple[int, ...]] = {start_key: ()}
+        depth = 0
+        while layer:
+            depth += 1
+            next_layer: dict[bytes, tuple[int, ...]] = {}
+            for key, seq in layer.items():
+                out = edges.get(key)
+                if out is None:
+                    fq = built[key][0]
+                    out = []
+                    for k in fq.green_vertices():
+                        if prune and bool(np.any(fq.ext[: fq.n, k - 1] >= 2)):
+                            continue
+                        try:
+                            child = mutate_framed(fq, k)
+                        except QuiverError:
+                            out.append((k, None))
+                            continue
+                        ckey = child.ext.tobytes()
+                        if ckey not in built:
+                            green = int(np.count_nonzero(child.green_mask()))
+                            built[ckey] = (child, green)
+                            if len(built) > max_states:
+                                return SearchResult("budget", None, len(built))
+                        out.append((k, ckey))
+                    edges[key] = out
+                for k, ckey in out:
+                    if ckey is None:
+                        capped = True
+                        continue
+                    if ckey in reached:
+                        continue  # reached at a shorter depth already
+                    cseq = seq + (k,)
+                    if ckey in next_layer:
+                        if cseq < next_layer[ckey]:
+                            next_layer[ckey] = cseq
+                        continue
+                    need = depth + built[ckey][1]
+                    if need > bound:
+                        if next_bound is None or need < next_bound:
+                            next_bound = need
+                        continue
+                    next_layer[ckey] = cseq
+            goals = [seq for key, seq in next_layer.items() if built[key][1] == 0]
+            if goals:
+                best = min(goals)
+                cert = verify_mgs(q, best)
+                if cert is None:
+                    raise InternalInvariantError(
+                        f"search produced sequence {best} that fails verification"
+                    )
+                return SearchResult("found", cert, len(built))
+            reached.update(next_layer)
+            layer = next_layer
+        if next_bound is None or next_bound > max_len:
+            return SearchResult(
+                "budget" if capped else "exhausted", None, len(built)
+            )
+        bound = next_bound

@@ -292,3 +292,20 @@ def test_psi_records_members_that_reach_a_known_boundary_entry(monkeypatch):
     ref = dot_boundary_lines_reference(res.graph, res.boundary)
     dot = graph_to_dot(res.graph, res.boundary).splitlines()
     assert len(ref) == 2 and ref <= set(dot)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: decide_mgs(q, max_len=0),
+        lambda q: decide_mgs(q, max_states=-1),
+        lambda q: explore(q, max_nodes=0),
+        lambda q: explore(q, max_mult=0),
+        lambda q: psi_component(q, max_len=-1),
+        lambda q: psi_component(q, max_states=0),
+        lambda q: psi_component(q, max_nodes=0),
+    ],
+)
+def test_nonpositive_budgets_are_rejected_on_entry(call):
+    with pytest.raises(QuiverError, match="must be at least 1"):
+        call(get("K4").quiver)

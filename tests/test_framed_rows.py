@@ -1,0 +1,177 @@
+"""The shortest-MGS search on integer framed rows, checked against the numpy
+framed states it replaced: the kernel step by step against
+``mutate_framed``, and whole searches against ``search_mgs_reference``."""
+
+import numpy as np
+import pytest
+
+from quivergreen import catalog
+from quivergreen.catalog import make_rank3
+from quivergreen.core import Quiver
+from quivergreen.errors import InternalInvariantError, QuiverError
+from quivergreen.green import (
+    _frame_rows,
+    _mutate_rows,
+    frame,
+    mutate_framed,
+    search_mgs,
+)
+
+from oracles import random_quiver, search_mgs_reference
+
+# 1 -> 2 -> 3 with 2**16 arrows each: mutating at 2 would put 2**32 arrows
+# from 1 to 3, above MULT_CAP
+CAP_PATH = Quiver([[0, 2**16, 0], [-(2**16), 0, 2**16], [0, -(2**16), 0]])
+
+
+def _rows_of(fq):
+    n = fq.n
+    return tuple(tuple(int(x) for x in fq.ext[i]) for i in range(n))
+
+
+def _green_bits(fq):
+    return sum(1 << i for i in range(fq.n) if fq.green_mask()[i])
+
+
+def _assert_same_state(rows, green, fq):
+    n = fq.n
+    assert rows == _rows_of(fq)
+    assert green == _green_bits(fq)
+    # the top rows fix the whole framed matrix
+    c = fq.ext[:n, n:]
+    assert np.array_equal(fq.ext[n:, :n], -c.T)
+    assert not fq.ext[n:, n:].any()
+
+
+def test_frame_rows_match_frame():
+    for name in catalog.names():
+        q = catalog.get(name).quiver
+        _assert_same_state(_frame_rows(q), (1 << q.n) - 1, frame(q))
+
+
+def test_kernel_matches_mutate_framed_on_random_green_walks():
+    rng = np.random.default_rng(71)
+    steps = 0
+    for _ in range(150):
+        n = int(rng.integers(2, 7))
+        q = random_quiver(rng, n, int(rng.integers(1, 4)))
+        fq, rows, green = frame(q), _frame_rows(q), (1 << n) - 1
+        for _ in range(3 * n):
+            greens = fq.green_vertices()
+            if not greens:
+                break
+            k = int(rng.choice(greens))
+            try:
+                fq = mutate_framed(fq, k)
+            except QuiverError:
+                assert _mutate_rows(rows, green, k - 1, n) is None
+                break
+            rows, green = _mutate_rows(rows, green, k - 1, n)
+            _assert_same_state(rows, green, fq)
+            steps += 1
+    assert steps > 1000
+
+
+def test_kernel_and_mutate_framed_both_refuse_a_cap_hit():
+    fq, rows = frame(CAP_PATH), _frame_rows(CAP_PATH)
+    with pytest.raises(QuiverError):
+        mutate_framed(fq, 2)
+    assert _mutate_rows(rows, 0b111, 1, 3) is None
+    # the other two steps stay within the cap, on both sides
+    for k in (1, 3):
+        child, green = _mutate_rows(rows, 0b111, k - 1, 3)
+        _assert_same_state(child, green, mutate_framed(fq, k))
+
+
+@pytest.mark.parametrize(
+    "c_other",
+    [
+        (0, -1),  # becomes (1, -1): neither green nor red
+        (-1, 0),  # becomes (0, 0): no c-vector at all
+    ],
+)
+def test_kernel_rejects_a_state_that_loses_sign_coherence(c_other):
+    # not reachable from a frame: vertex 2 is red with c-row c_other and
+    # has one arrow from 1, whose c-row is (1, 0); mutating at 1 adds
+    # (1, 0) to c_other
+    rows = ((0, -1, 1, 0), (1, 0) + c_other)
+    with pytest.raises(InternalInvariantError, match="neither green nor red"):
+        _mutate_rows(rows, 0b01, 0, 2)
+
+
+def _assert_matches_reference(q, **kwargs):
+    res = search_mgs(q, **kwargs)
+    ref = search_mgs_reference(q, **kwargs)
+    assert res == ref, (q.arrows(), kwargs)
+    return res
+
+
+def test_search_matches_reference_on_random_quivers():
+    rng = np.random.default_rng(313)
+    statuses = set()
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        q = random_quiver(rng, n, int(rng.integers(0, 4)))
+        for prune in (True, False):
+            res = _assert_matches_reference(q, max_states=300, prune=prune)
+            statuses.add(res.status)
+    assert statuses == {"found", "exhausted", "budget"}
+
+
+def test_search_matches_reference_on_the_catalog():
+    for name in catalog.names():
+        q = catalog.get(name).quiver
+        for prune in (True, False):
+            _assert_matches_reference(q, max_states=400, prune=prune)
+
+
+def test_search_hits_the_state_budget_at_the_same_count():
+    for q in (catalog.get("K4").quiver, catalog.get("Theta_5").quiver):
+        total = search_mgs(q).states
+        for max_states in (1, 2, 3, total // 3, total // 2, total - 1, total):
+            res = _assert_matches_reference(q, max_states=max_states)
+            assert res.found == (max_states == total)
+
+
+def test_a_cap_hit_turns_exhausted_into_budget():
+    # max_len 2 is below the rank, so nothing can be found; the step at 2
+    # is refused by the cap, so the search may not claim "exhausted"
+    res = _assert_matches_reference(CAP_PATH, max_len=2, prune=False)
+    assert res.status == "budget"
+    # with pruning that step is never tried (2 heads a multiple arrow)
+    res = _assert_matches_reference(CAP_PATH, max_len=2, prune=True)
+    assert res.status == "exhausted"
+
+
+@pytest.mark.parametrize(
+    "name, states, sequence",
+    [
+        ("K4", 59, (1, 2, 3, 4, 2)),
+        ("Z6", 645, (3, 1, 2, 4, 5, 6, 3)),
+        ("W5", 574, (1, 3, 2, 4, 5, 1, 3)),
+        ("W5p", 590, (1, 2, 4, 5, 1, 3, 4)),
+        ("Theta_5", 211, (2, 1, 3, 4, 5, 2)),
+        ("Theta_6", 629, (2, 1, 3, 4, 5, 6, 2)),
+        ("Theta_7", 1689, (2, 1, 3, 4, 5, 6, 7, 2)),
+    ],
+)
+def test_search_counters_pinned(name, states, sequence):
+    # deterministic counters: more states means more work, another
+    # sequence means a changed tie-break
+    res = search_mgs(catalog.get(name).quiver)
+    assert res.found
+    assert res.states == states
+    assert res.certificate.sequence == sequence
+
+
+def test_search_markov_pinned():
+    # every vertex heads a double arrow, so nothing is expanded
+    res = search_mgs(make_rank3(2, 2, 2))
+    assert (res.status, res.states) == ("exhausted", 1)
+
+
+@pytest.mark.parametrize("budget", ["max_len", "max_states"])
+@pytest.mark.parametrize("value", [0, -1, 1.5, True])
+def test_search_rejects_bad_budgets(budget, value):
+    with pytest.raises(QuiverError, match=budget):
+        search_mgs(catalog.get("K4").quiver, **{budget: value})

@@ -299,3 +299,27 @@ def test_cli_deeply_nested_certificate_is_an_input_error(tmp_path):
     proc = _run_cli_subprocess("louise", "verify", "catalog:K4", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--max-states", "-3", "decide", "catalog:Z6"),
+        ("--max-states", "0", "mgs", "find", "catalog:K4"),
+        ("--max-len", "0", "decide", "catalog:K4"),
+        ("--max-len", "0", "mgs", "find", "catalog:K4"),
+        ("--max-len", "-2", "graph", "psi", "catalog:K4"),
+        ("--max-nodes", "0", "graph", "psi", "catalog:K4"),
+        ("--max-nodes", "-1", "graph", "psi", "catalog:K4"),
+        ("--max-nodes", "0", "graph", "explore", "catalog:K4"),
+        ("--max-mult", "-1", "graph", "explore", "catalog:K4"),
+        ("--max-mult", "0", "graph", "explore", "catalog:K4"),
+    ],
+)
+def test_cli_nonpositive_budget_is_an_input_error(capsys, argv):
+    # a budget below 1 is bad input, not a search that ran out (exit 2)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be at least 1" in err
+    assert "Traceback" not in err

@@ -75,6 +75,47 @@ def _canonical_rep(q: Quiver) -> tuple[CanonicalKey, Quiver]:
     return key, relabel(q, sigma)
 
 
+def _neighbours(key: bytes, rep: Quiver, vertices, back: dict[bytes, set[int]]):
+    """Mutate the canonical representative ``rep`` (key ``key``) at each of
+    ``vertices``, skipping those recorded in ``back[key]``, and yield
+    ``(child key, child representative, back vertex)``, or None for a
+    mutation beyond the multiplicity cap.
+
+    Mutation is an involution that commutes with relabelling: if
+    ``mu_k(rep)`` canonicalises with witness ``sigma``, then
+    ``mu_{sigma(k)}(relabel(mu_k(rep), sigma)) = relabel(rep, sigma)``.  So
+    the back vertex ``sigma[k-1]`` of the child representative mutates back
+    into the class of ``rep``.  A caller that has recorded the edge to the
+    child adds the back vertex to ``back[child key]``, and the child's own
+    expansion then skips it: each edge between two classes is computed from
+    one end only.
+    """
+    skip = back.pop(key, ())
+    for k in vertices:
+        if k in skip:
+            continue
+        try:
+            child = mutate(rep, k)
+        except QuiverError:
+            yield None
+            continue
+        ckey, sigma = canonical_form(child)
+        yield ckey, relabel(child, sigma), sigma[k - 1]
+
+
+def _link(
+    graph: ExchangeGraph,
+    back: dict[bytes, set[int]],
+    node: ExchangeNode,
+    ckey: CanonicalKey,
+    vertex: int,
+) -> None:
+    """Record the edge from ``node`` to the class ``ckey`` it mutated into,
+    and the vertex of that class that mutates back (see ``_neighbours``)."""
+    graph.add_edge(ckey.data, node.key.data)
+    back.setdefault(ckey.data, set()).add(vertex)
+
+
 def explore(
     q: Quiver,
     max_nodes: int = DEFAULT_MAX_NODES,
@@ -85,7 +126,9 @@ def explore(
     A node whose quiver carries a multiplicity above ``max_mult`` is kept but
     marked truncated and never expanded, so infinite classes terminate; the
     graph is flagged incomplete whenever truncation or the node budget cut
-    the search short.
+    the search short.  Each edge between two classes is computed from one
+    end only: a node skips the mutations known to lead back to a neighbour
+    that reached it (see ``_neighbours``).
     """
     max_nodes = _require_budget(max_nodes, "max_nodes")
     max_mult = _require_budget(max_mult, "max_mult")
@@ -95,6 +138,7 @@ def explore(
         key, rep, is_acyclic(rep), 0, truncated=_over_mult(rep, max_mult)
     )
     graph.nodes[key.data] = root
+    back: dict[bytes, set[int]] = {}
     frontier = [root]
     while frontier:
         frontier.sort(key=lambda n: n.key.data)
@@ -103,15 +147,14 @@ def explore(
             if node.truncated:
                 graph.complete = False
                 continue
-            for k in range(1, node.quiver.n + 1):
-                try:
-                    child = mutate(node.quiver, k)
-                except QuiverError:
+            vertices = range(1, node.quiver.n + 1)
+            for step in _neighbours(node.key.data, node.quiver, vertices, back):
+                if step is None:
                     # beyond exact integer range: same treatment as max_mult
                     node.truncated = True
                     graph.complete = False
                     continue
-                ckey, crep = _canonical_rep(child)
+                ckey, crep, vertex = step
                 if ckey.data not in graph.nodes:
                     if len(graph.nodes) >= max_nodes:
                         # no node for the child, so no edge to it either
@@ -126,7 +169,7 @@ def explore(
                     )
                     graph.nodes[ckey.data] = cnode
                     nxt.append(cnode)
-                graph.add_edge(ckey.data, node.key.data)
+                _link(graph, back, node, ckey, vertex)
         frontier = nxt
     return graph
 
@@ -143,16 +186,18 @@ def enumerate_acyclic(q: Quiver) -> list[Quiver]:
         raise QuiverError("enumerate_acyclic requires an acyclic starting quiver")
     key, rep = _canonical_rep(q)
     found = {key.data: rep}
-    frontier = [rep]
+    back: dict[bytes, set[int]] = {}
+    frontier = [(key.data, rep)]
     while frontier:
         nxt = []
-        for cur in frontier:
-            for k in sorted(set(sources(cur)) | set(sinks(cur))):
-                child = mutate(cur, k)
-                ckey, crep = _canonical_rep(child)
+        for cur_key, cur in frontier:
+            vertices = sorted(set(sources(cur)) | set(sinks(cur)))
+            # a sink or source mutation only reverses arrows, never overflows
+            for ckey, crep, vertex in _neighbours(cur_key, cur, vertices, back):
+                back.setdefault(ckey.data, set()).add(vertex)
                 if ckey.data not in found:
                     found[ckey.data] = crep
-                    nxt.append(crep)
+                    nxt.append((ckey.data, crep))
         frontier = nxt
     return [found[k] for k in sorted(found)]
 
@@ -192,7 +237,8 @@ def psi_component(
     the boundary and are never expanded; an "unknown" verdict anywhere marks
     the result incomplete rather than guessing.  ``max_len`` and
     ``max_states`` are checked by the first ``decide_mgs`` call, before any
-    neighbour is visited.
+    neighbour is visited.  As in ``explore``, each edge between two members
+    is computed from one end only.
     """
     if max_len is None:
         max_len = default_max_len(q.n) + q.n  # component members vary in girth
@@ -211,19 +257,19 @@ def psi_component(
     root = ExchangeNode(key, rep, is_acyclic(rep), 0, mgs=start)
     graph.nodes[key.data] = root
     boundary: dict[bytes, BoundaryEntry] = {}
+    back: dict[bytes, set[int]] = {}
     unresolved = 0
     frontier = [root]
     while frontier:
         frontier.sort(key=lambda n: n.key.data)
         nxt = []
         for node in frontier:
-            for k in range(1, node.quiver.n + 1):
-                try:
-                    child = mutate(node.quiver, k)
-                except QuiverError:
+            vertices = range(1, node.quiver.n + 1)
+            for step in _neighbours(node.key.data, node.quiver, vertices, back):
+                if step is None:
                     unresolved += 1  # neighbour beyond exact integer range
                     continue
-                ckey, crep = _canonical_rep(child)
+                ckey, crep, vertex = step
                 if ckey.data in boundary:
                     boundary[ckey.data].members.add(node.key.data)
                     continue
@@ -246,7 +292,7 @@ def psi_component(
                     )
                     graph.nodes[ckey.data] = cnode
                     nxt.append(cnode)
-                graph.add_edge(ckey.data, node.key.data)
+                _link(graph, back, node, ckey, vertex)
         frontier = nxt
     complete = graph.complete and unresolved == 0
     entries = [boundary[k] for k in sorted(boundary)]

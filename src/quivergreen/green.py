@@ -13,6 +13,7 @@ return has been replayed and re-verified before it leaves this module.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -428,27 +429,31 @@ def search_mgs(
 
 
 def acyclic_mgs(q: Quiver) -> MgsCertificate:
-    """MGS of an acyclic quiver built by repeatedly mutating the least-index
-    source of the subquiver induced on the still-green vertices."""
+    """MGS of an acyclic quiver: the least topological order of its vertices.
+
+    Mutating a source of the whole framed quiver only reverses its arrows,
+    and each vertex in this order is such a source when its turn comes, so
+    the green vertices are exactly the unmutated ones and the least-index
+    source of the green subquiver is the least unmutated vertex without an
+    arrow from another unmutated vertex.  Kahn's algorithm with a min-heap
+    picks exactly that vertex at every step; ``verify_mgs`` replays the
+    result."""
     if not is_acyclic(q):
         raise QuiverError("acyclic_mgs requires an acyclic quiver")
-    fq = frame(q)
+    b = q.b.tolist()
+    n = q.n
+    indegree = [sum(1 for row in b if row[v] > 0) for v in range(n)]
+    ready = [v for v in range(n) if indegree[v] == 0]
+    heapq.heapify(ready)
     seq = []
-    for _ in range(4 * q.n + 4):
-        greens = fq.green_vertices()
-        if not greens:
-            break
-        block = fq.ext[: q.n, : q.n]
-        srcs = [
-            v for v in greens if all(block[w - 1, v - 1] <= 0 for w in greens)
-        ]
-        if not srcs:
-            raise InternalInvariantError(
-                "green subquiver of an acyclic quiver lost all its sources"
-            )
-        k = min(srcs)
-        fq = mutate_framed(fq, k)
-        seq.append(k)
+    while ready:
+        v = heapq.heappop(ready)
+        seq.append(v + 1)
+        for w, m in enumerate(b[v]):
+            if m > 0:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    heapq.heappush(ready, w)
     cert = verify_mgs(q, seq)
     if cert is None:
         raise InternalInvariantError(

@@ -33,6 +33,7 @@ from .core import (
     Rank3Params,
     RFamilyParams,
     _require_budget,
+    _require_int,
     find_direct_sum,
     find_ending_kcycle,
     induced_cycles,
@@ -204,8 +205,13 @@ def is_mutation_acyclic(
     An unsatisfiable admissibility system certifies "no" outright (only
     mutation-acyclic quivers admit an admissible companion).  Otherwise a
     breadth-first scan over isomorphism classes up to ``depth`` mutations
-    looks for an acyclic member.
+    looks for an acyclic member.  ``depth`` must be an integer of at least 0
+    and ``max_quivers`` one of at least 1; both are checked on entry.
     """
+    depth = _require_int(depth, "depth")
+    if depth < 0:
+        raise QuiverError(f"depth must be at least 0, got {depth!r}")
+    max_quivers = _require_budget(max_quivers, "max_quivers")
     adm = solve_admissibility(q)
     if not adm.satisfiable:
         return MutationAcyclicResult("no", admissibility=adm)
@@ -219,6 +225,8 @@ def is_mutation_acyclic(
         nxt = []
         for cur, seq in frontier:
             for k in range(1, cur.n + 1):
+                if seq and k == seq[-1]:
+                    continue  # mutation is an involution: this is the parent
                 child = mutate(cur, k)
                 key = canonical_key(child).data
                 if key in seen:

@@ -1,8 +1,10 @@
 """Independent reference implementations used to compute expected values.
 
-Everything here is deliberately naive (explicit arrow lists, literal
+Most of it is deliberately naive (explicit arrow lists, literal
 enumeration, Fraction arithmetic) and shares no algorithmic code with the
-package, so agreement is meaningful.
+package, so agreement is meaningful.  Most ``*_reference`` functions are
+earlier versions of package code, kept verbatim when a faster rewrite
+replaced them, so that the rewrite can be held to the same output.
 """
 
 from __future__ import annotations
@@ -13,8 +15,26 @@ from typing import Optional
 
 import numpy as np
 
-from quivergreen.core import Quiver
+from quivergreen.canonical import canonical_key
+from quivergreen.core import (
+    Quiver,
+    _require_budget,
+    is_acyclic,
+    mutate,
+    sinks,
+    sources,
+)
 from quivergreen.errors import InternalInvariantError, QuiverError
+from quivergreen.exchange import (
+    DEFAULT_MAX_MULT,
+    DEFAULT_MAX_NODES,
+    BoundaryEntry,
+    ExchangeGraph,
+    ExchangeNode,
+    PsiResult,
+    _canonical_rep,
+    _over_mult,
+)
 from quivergreen.green import (
     DEFAULT_MAX_STATES,
     FramedQuiver,
@@ -23,6 +43,11 @@ from quivergreen.green import (
     frame,
     mutate_framed,
     verify_mgs,
+)
+from quivergreen.obstructions import (
+    MutationAcyclicResult,
+    decide_mgs,
+    solve_admissibility,
 )
 
 
@@ -481,3 +506,216 @@ def search_mgs_reference(q: Quiver, max_len=None, max_states=None, prune=True):
                 "budget" if capped else "exhausted", None, len(built)
             )
         bound = next_bound
+
+
+def acyclic_mgs_reference(q: Quiver):
+    """MGS of an acyclic quiver by a framed walk, kept as the oracle for
+    ``green.acyclic_mgs`` (which reads a topological order off the matrix):
+    repeatedly mutate the least-index source of the subquiver induced on the
+    still-green vertices."""
+    if not is_acyclic(q):
+        raise QuiverError("acyclic_mgs requires an acyclic quiver")
+    fq = frame(q)
+    seq = []
+    for _ in range(4 * q.n + 4):
+        greens = fq.green_vertices()
+        if not greens:
+            break
+        block = fq.ext[: q.n, : q.n]
+        srcs = [
+            v for v in greens if all(block[w - 1, v - 1] <= 0 for w in greens)
+        ]
+        if not srcs:
+            raise InternalInvariantError(
+                "green subquiver of an acyclic quiver lost all its sources"
+            )
+        k = min(srcs)
+        fq = mutate_framed(fq, k)
+        seq.append(k)
+    cert = verify_mgs(q, seq)
+    if cert is None:
+        raise InternalInvariantError(
+            f"source-mutation sequence {seq} failed verification"
+        )
+    return cert
+
+
+# The four traversals below are the mutation loops of ``exchange`` and
+# ``obstructions`` as they were before each (node, vertex) pair that leads
+# back to a known neighbour was skipped: every pair is mutated and
+# canonicalised.  Their outputs must equal the package's.
+
+
+def explore_reference(
+    q: Quiver,
+    max_nodes: int = DEFAULT_MAX_NODES,
+    max_mult: int = DEFAULT_MAX_MULT,
+) -> ExchangeGraph:
+    max_nodes = _require_budget(max_nodes, "max_nodes")
+    max_mult = _require_budget(max_mult, "max_mult")
+    graph = ExchangeGraph(meta={"max_nodes": max_nodes, "max_mult": max_mult})
+    key, rep = _canonical_rep(q)
+    root = ExchangeNode(
+        key, rep, is_acyclic(rep), 0, truncated=_over_mult(rep, max_mult)
+    )
+    graph.nodes[key.data] = root
+    frontier = [root]
+    while frontier:
+        frontier.sort(key=lambda n: n.key.data)
+        nxt = []
+        for node in frontier:
+            if node.truncated:
+                graph.complete = False
+                continue
+            for k in range(1, node.quiver.n + 1):
+                try:
+                    child = mutate(node.quiver, k)
+                except QuiverError:
+                    # beyond exact integer range: same treatment as max_mult
+                    node.truncated = True
+                    graph.complete = False
+                    continue
+                ckey, crep = _canonical_rep(child)
+                if ckey.data not in graph.nodes:
+                    if len(graph.nodes) >= max_nodes:
+                        # no node for the child, so no edge to it either
+                        graph.complete = False
+                        continue
+                    cnode = ExchangeNode(
+                        ckey,
+                        crep,
+                        is_acyclic(crep),
+                        node.layer + 1,
+                        truncated=_over_mult(crep, max_mult),
+                    )
+                    graph.nodes[ckey.data] = cnode
+                    nxt.append(cnode)
+                graph.add_edge(ckey.data, node.key.data)
+        frontier = nxt
+    return graph
+
+
+def psi_component_reference(
+    q: Quiver,
+    max_len: Optional[int] = None,
+    max_states: Optional[int] = None,
+    max_nodes: int = DEFAULT_MAX_NODES,
+) -> PsiResult:
+    if max_len is None:
+        max_len = default_max_len(q.n) + q.n  # component members vary in girth
+    if max_states is None:
+        max_states = DEFAULT_MAX_STATES
+    max_nodes = _require_budget(max_nodes, "max_nodes")
+    key, rep = _canonical_rep(q)
+    start = decide_mgs(rep, max_len, max_states)
+    if not start.yes:
+        raise QuiverError(
+            "psi_component requires a starting quiver with a maximal green sequence"
+        )
+    graph = ExchangeGraph(
+        meta={"max_len": max_len, "max_states": max_states, "max_nodes": max_nodes}
+    )
+    root = ExchangeNode(key, rep, is_acyclic(rep), 0, mgs=start)
+    graph.nodes[key.data] = root
+    boundary: dict[bytes, BoundaryEntry] = {}
+    unresolved = 0
+    frontier = [root]
+    while frontier:
+        frontier.sort(key=lambda n: n.key.data)
+        nxt = []
+        for node in frontier:
+            for k in range(1, node.quiver.n + 1):
+                try:
+                    child = mutate(node.quiver, k)
+                except QuiverError:
+                    unresolved += 1  # neighbour beyond exact integer range
+                    continue
+                ckey, crep = _canonical_rep(child)
+                if ckey.data in boundary:
+                    boundary[ckey.data].members.add(node.key.data)
+                    continue
+                if ckey.data not in graph.nodes:
+                    if len(graph.nodes) >= max_nodes:
+                        graph.complete = False
+                        unresolved += 1
+                        continue
+                    verdict = decide_mgs(crep, max_len, max_states)
+                    if verdict.no:
+                        boundary[ckey.data] = BoundaryEntry(
+                            ckey, crep, verdict.obstruction, {node.key.data}
+                        )
+                        continue
+                    if not verdict.yes:
+                        unresolved += 1
+                        continue
+                    cnode = ExchangeNode(
+                        ckey, crep, is_acyclic(crep), node.layer + 1, mgs=verdict
+                    )
+                    graph.nodes[ckey.data] = cnode
+                    nxt.append(cnode)
+                graph.add_edge(ckey.data, node.key.data)
+        frontier = nxt
+    complete = graph.complete and unresolved == 0
+    entries = [boundary[k] for k in sorted(boundary)]
+    return PsiResult(graph, entries, complete)
+
+
+def enumerate_acyclic_reference(q: Quiver) -> list[Quiver]:
+    if not is_acyclic(q):
+        raise QuiverError("enumerate_acyclic requires an acyclic starting quiver")
+    key, rep = _canonical_rep(q)
+    found = {key.data: rep}
+    frontier = [rep]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for k in sorted(set(sources(cur)) | set(sinks(cur))):
+                child = mutate(cur, k)
+                ckey, crep = _canonical_rep(child)
+                if ckey.data not in found:
+                    found[ckey.data] = crep
+                    nxt.append(crep)
+        frontier = nxt
+    return [found[k] for k in sorted(found)]
+
+
+def is_mutation_acyclic_reference(
+    q: Quiver, depth: int = 8, max_quivers: int = 10_000
+) -> MutationAcyclicResult:
+    adm = solve_admissibility(q)
+    if not adm.satisfiable:
+        return MutationAcyclicResult("no", admissibility=adm)
+    if is_acyclic(q):
+        return MutationAcyclicResult("yes", sequence=())
+    seen = {canonical_key(q).data}
+    frontier = [(q, ())]
+    count = 1
+    exhausted = True
+    for _ in range(depth):
+        nxt = []
+        for cur, seq in frontier:
+            for k in range(1, cur.n + 1):
+                child = mutate(cur, k)
+                key = canonical_key(child).data
+                if key in seen:
+                    continue
+                seen.add(key)
+                count += 1
+                if is_acyclic(child):
+                    return MutationAcyclicResult("yes", sequence=seq + (k,))
+                if count <= max_quivers:
+                    nxt.append((child, seq + (k,)))
+                else:
+                    exhausted = False
+        if not nxt:
+            if exhausted:
+                return MutationAcyclicResult(
+                    "unknown",
+                    admissibility=adm,
+                    note="class exhausted without an acyclic member",
+                )
+            break
+        frontier = nxt
+    return MutationAcyclicResult(
+        "unknown", admissibility=adm, note="budget reached"
+    )

@@ -323,3 +323,21 @@ def test_cli_nonpositive_budget_is_an_input_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "must be at least 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--depth", "-1", "mutation-acyclic", "Q3:1,1,1"),
+        ("--max-nodes", "0", "mutation-acyclic", "Q3:1,1,1"),
+        ("--max-nodes", "0", "acyclic-count", "catalog:K4"),
+        ("--depth", "-1", "acyclic-count", "catalog:K4"),
+        ("--depth", "-2", "invariants", "catalog:K4"),
+    ],
+)
+def test_cli_bad_mutation_acyclic_budget_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be at least" in err
+    assert "Traceback" not in err

@@ -510,3 +510,30 @@ def test_louise_from_json_rejects_bool_and_string_edge():
     with pytest.raises(CertificateError):
         louise_from_json(_node_json([], [True, "2"]))
     assert louise_from_json(_node_json([3], [1, 2])).edge == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "depth, max_quivers, message",
+    [
+        (-1, 10, "depth must be at least 0"),
+        (1.0, 10, "depth must be an integer"),
+        (True, 10, "depth must be an integer"),
+        (3, 0, "max_quivers must be at least 1"),
+        (3, -5, "max_quivers must be at least 1"),
+        (3, 2.5, "max_quivers must be an integer"),
+    ],
+)
+def test_is_mutation_acyclic_rejects_bad_budgets_on_entry(
+    monkeypatch, depth, max_quivers, message
+):
+    import quivergreen.obstructions as obstructions
+
+    def unreachable(q):
+        raise AssertionError("budgets are checked before the admissibility test")
+
+    monkeypatch.setattr(obstructions, "solve_admissibility", unreachable)
+    with pytest.raises(QuiverError, match=message):
+        is_mutation_acyclic(make_rank3(1, 1, 1), depth, max_quivers)
+    # depth 0 is a legitimate budget: no mutation at all
+    monkeypatch.undo()
+    assert is_mutation_acyclic(make_rank3(1, 1, 1), 0, 1).note == "budget reached"

@@ -1,0 +1,239 @@
+"""Mutation walks that skip the mutation leading back to a known neighbour,
+checked against the loops that mutate and canonicalise every (node, vertex)
+pair: ``explore``, ``psi_component``, ``enumerate_acyclic`` and
+``is_mutation_acyclic`` must give the same results, and ``acyclic_mgs`` the
+same sequence as the framed walk it replaced."""
+
+import numpy as np
+import pytest
+
+import oracles
+import quivergreen.exchange as exchange
+from quivergreen import catalog
+from quivergreen.core import Quiver
+from quivergreen.errors import QuiverError
+from quivergreen.exchange import (
+    DEFAULT_MAX_MULT,
+    enumerate_acyclic,
+    explore,
+    graph_to_dot,
+    graph_to_json,
+    psi_component,
+)
+from quivergreen.green import acyclic_mgs
+from quivergreen.obstructions import is_mutation_acyclic
+
+from oracles import (
+    acyclic_mgs_reference,
+    enumerate_acyclic_reference,
+    explore_reference,
+    is_mutation_acyclic_reference,
+    psi_component_reference,
+    random_acyclic_quiver,
+    random_quiver,
+)
+
+NODE_CAPS = (1, 3, 14)
+CATALOG = [
+    catalog.get(name).quiver
+    for name in catalog.names()
+    if catalog.get(name).quiver.n < 8
+]
+
+
+def _assert_same_graph(got, ref, boundary=None, ref_boundary=None):
+    assert graph_to_json(got, boundary) == graph_to_json(ref, ref_boundary)
+    assert graph_to_dot(got, boundary) == graph_to_dot(ref, ref_boundary)
+    assert got.complete == ref.complete
+
+
+def _explore_cases():
+    cases = [
+        (q, cap, mult)
+        for q in CATALOG
+        for cap in NODE_CAPS
+        for mult in (2, DEFAULT_MAX_MULT)
+    ]
+    # whole classes cut only by truncation (Theta_7 is capped at 700 nodes)
+    cases += [(q, 700, 2) for q in CATALOG]
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        q = random_quiver(rng, int(rng.integers(2, 7)), 3)
+        cases += [(q, cap, 2) for cap in NODE_CAPS + (200,)]
+    return cases
+
+
+def test_explore_matches_the_every_pair_walk():
+    truncated = capped = 0
+    for q, cap, mult in _explore_cases():
+        got = explore(q, cap, mult)
+        ref = explore_reference(q, cap, mult)
+        _assert_same_graph(got, ref)
+        truncated += any(node.truncated for node in got.nodes.values())
+        capped += len(got) == cap
+    assert truncated >= 20 and capped >= 20
+
+
+@pytest.fixture
+def shared_decide(monkeypatch):
+    """Both psi walks decide the same classes with the same budgets, so one
+    verdict per canonical representative serves both and halves the cost."""
+    verdicts = {}
+    decide = exchange.decide_mgs
+
+    def cached(q, *args):
+        key = (q.b.tobytes(), q.n, args)
+        if key not in verdicts:
+            verdicts[key] = decide(q, *args)
+        return verdicts[key]
+
+    monkeypatch.setattr(exchange, "decide_mgs", cached)
+    monkeypatch.setattr(oracles, "decide_mgs", cached)
+
+
+def _psi_cases():
+    cases = [(q, cap, 2000) for q in CATALOG for cap in NODE_CAPS]
+    cases += [(catalog.get("K4").quiver, 10**5, None)]
+    rng = np.random.default_rng(12)
+    while len(cases) < 3 * len(CATALOG) + 13:
+        q = random_quiver(rng, int(rng.integers(2, 6)), 2)
+        cases += [(q, cap, 2000) for cap in NODE_CAPS]
+    return cases
+
+
+def test_psi_component_matches_the_every_pair_walk(shared_decide):
+    incomplete = with_boundary = 0
+    for q, cap, states in _psi_cases():
+        try:
+            ref = psi_component_reference(q, max_states=states, max_nodes=cap)
+        except QuiverError:  # no MGS at the start: both must refuse
+            with pytest.raises(QuiverError, match="requires a starting quiver"):
+                psi_component(q, max_states=states, max_nodes=cap)
+            continue
+        got = psi_component(q, max_states=states, max_nodes=cap)
+        _assert_same_graph(got.graph, ref.graph, got.boundary, ref.boundary)
+        assert got.complete == ref.complete
+        assert [(e.key, e.members) for e in got.boundary] == [
+            (e.key, e.members) for e in ref.boundary
+        ]
+        incomplete += not got.complete
+        with_boundary += bool(got.boundary)
+    assert incomplete >= 20 and with_boundary >= 3
+
+
+def test_enumerate_acyclic_matches_the_every_pair_walk():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        q = random_acyclic_quiver(rng, int(rng.integers(1, 7)), 3)
+        got = [m.b.tobytes() for m in enumerate_acyclic(q)]
+        assert got == [m.b.tobytes() for m in enumerate_acyclic_reference(q)]
+
+
+def test_is_mutation_acyclic_matches_the_every_pair_walk():
+    rng = np.random.default_rng(14)
+    kinds = set()
+    for _ in range(30):
+        q = random_quiver(rng, int(rng.integers(2, 6)), 2)
+        for depth, max_quivers in ((0, 10_000), (1, 1), (2, 5), (3, 10_000), (8, 40)):
+            got = is_mutation_acyclic(q, depth, max_quivers)
+            ref = is_mutation_acyclic_reference(q, depth, max_quivers)
+            assert (got.kind, got.sequence, got.note) == (
+                ref.kind,
+                ref.sequence,
+                ref.note,
+            )
+            kinds.add((got.kind, got.note))
+    assert len(kinds) >= 3
+
+
+def test_acyclic_mgs_is_the_least_topological_order():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        n, mult = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        q = random_acyclic_quiver(rng, n, mult)
+        assert acyclic_mgs(q) == acyclic_mgs_reference(q)
+
+
+D6 = Quiver.from_arrows(6, [(1, 2), (2, 3), (3, 4), (4, 5), (4, 6)])
+E6 = Quiver.from_arrows(6, [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
+
+
+@pytest.fixture
+def form_calls(monkeypatch):
+    """Count ``canonical_form`` calls made through ``exchange`` (the
+    reference walks use the same binding)."""
+    calls = [0]
+    form = exchange.canonical_form
+
+    def counting(q):
+        calls[0] += 1
+        return form(q)
+
+    monkeypatch.setattr(exchange, "canonical_form", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run, reference, expected, expected_reference",
+    [
+        (lambda: explore(D6), lambda: explore_reference(D6), 271, 481),
+        (lambda: explore(E6), lambda: explore_reference(E6), 217, 403),
+        (
+            lambda: psi_component(catalog.get("K4").quiver),
+            lambda: psi_component_reference(catalog.get("K4").quiver),
+            43,
+            69,
+        ),
+        (
+            lambda: enumerate_acyclic(D6),
+            lambda: enumerate_acyclic_reference(D6),
+            61,
+            105,
+        ),
+    ],
+    ids=["explore-D6", "explore-E6", "psi-K4", "enumerate-acyclic-D6"],
+)
+def test_canonical_form_calls_pinned(
+    form_calls, run, reference, expected, expected_reference
+):
+    # each edge between two classes is canonicalised from one end only
+    run()
+    assert form_calls[0] == expected
+    form_calls[0] = 0
+    reference()
+    assert form_calls[0] == expected_reference
+
+
+RANK4_BUDGET = Quiver([[0, -2, 2, 1], [2, 0, -1, -2], [-2, 1, 0, 1], [-1, 2, -1, 0]])
+
+
+@pytest.mark.parametrize(
+    "q, depth, max_quivers, expected, expected_reference",
+    [
+        (catalog.get("X7").quiver, 8, 10_000, 13, 14),
+        (RANK4_BUDGET, 3, 200, 52, 68),
+    ],
+    ids=["X7-exhausted", "rank4-budget"],
+)
+def test_is_mutation_acyclic_mutate_calls_pinned(
+    monkeypatch, q, depth, max_quivers, expected, expected_reference
+):
+    # every path but the root's skips its last vertex, which leads back to
+    # the exact parent
+    import quivergreen.obstructions as obstructions
+
+    calls = [0]
+    mutate = obstructions.mutate
+
+    def counting(q, k):
+        calls[0] += 1
+        return mutate(q, k)
+
+    monkeypatch.setattr(obstructions, "mutate", counting)
+    monkeypatch.setattr(oracles, "mutate", counting)
+    got = is_mutation_acyclic(q, depth, max_quivers)
+    assert calls[0] == expected
+    calls[0] = 0
+    ref = is_mutation_acyclic_reference(q, depth, max_quivers)
+    assert calls[0] == expected_reference
+    assert (got.kind, got.note) == (ref.kind, ref.note)

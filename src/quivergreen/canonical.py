@@ -20,12 +20,12 @@ one over vertex subsets: on a highly symmetric quiver it still visits about
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
-import numpy as np
-
-from .core import Quiver
+from .core import Quiver, _take
 from .errors import CapabilityError
 
 MAX_CANONICAL_N = 12
@@ -52,7 +52,7 @@ class CanonicalKey:
 
 def _canonical_order(q: Quiver) -> tuple[int, ...]:
     """A vertex ordering (0-indexed) realising the minimal matrix."""
-    b = q.b.tolist()
+    b = q.rows
     n = q.n
     # A partial ordering p carries cols[w] = (b[x][w] for x in p) for every
     # unused vertex w, and None for the used ones; extending p by v appends
@@ -103,8 +103,9 @@ def canonical_form(q: Quiver) -> tuple[CanonicalKey, tuple[int, ...]]:
     if q._canon is not None:
         return q._canon
     order = _canonical_order(q)
-    m = q.b[np.ix_(order, order)]
-    key = CanonicalKey(q.n.to_bytes(2, "big") + m.astype(np.int64).tobytes())
+    # the canonical matrix as native int64 bytes, as numpy's tobytes gives them
+    m = array("q", chain.from_iterable(_take(q.rows, order)))
+    key = CanonicalKey(q.n.to_bytes(2, "big") + m.tobytes())
     sigma = [0] * q.n
     for new0, old0 in enumerate(order):
         sigma[old0] = new0 + 1

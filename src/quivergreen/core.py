@@ -3,14 +3,18 @@
 A quiver here is a finite directed multigraph without loops or 2-cycles,
 encoded by a skew-symmetric integer matrix ``b`` where ``b[i][j] > 0`` means
 ``b[i][j]`` arrows from vertex ``i+1`` to vertex ``j+1``.  All public
-operations take and return 1-indexed vertex labels; the matrix itself is a
-plain 0-indexed numpy array.
+operations take and return 1-indexed vertex labels.  The matrix itself is
+0-indexed and held as ``Quiver.rows``, a tuple of row tuples of plain Python
+ints: mutation, relabelling and every structural scan run on those, with
+one integer mutation kernel (``_mutate_int``).  numpy serves only the
+read-only ``Quiver.b`` view and the framed-state replay in ``green``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter, neg
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -53,24 +57,36 @@ def _check_vertex_count(n: int) -> None:
         raise QuiverError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
 
 
-def _check_int_rows(rows) -> None:
-    """Validate a matrix given as nested lists before numpy sees it: a square
-    list of rows of integers within the multiplicity cap."""
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """Validate a matrix given as nested lists: a square list of rows of
+    integers within the multiplicity cap.  Returns it as a tuple of tuples
+    of plain ints."""
     if not isinstance(rows, (list, tuple)):
         raise QuiverError("exchange matrix must be a list of rows")
-    _check_vertex_count(len(rows))
+    n = len(rows)
+    _check_vertex_count(n)
+    out = []
     for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) != len(rows):
+        if not isinstance(row, (list, tuple)) or len(row) != n:
             raise QuiverError("exchange matrix must be square")
-        for x in row:
-            if abs(_require_int(x, "matrix entry")) > MULT_CAP:
-                raise QuiverError(f"arrow multiplicity exceeds cap {MULT_CAP}")
+        if set(map(type, row)) != {int}:  # a bool, a float, a numpy integer...
+            row = [_require_int(x, "matrix entry") for x in row]
+        row = tuple(row)
+        if max(row) > MULT_CAP or min(row) < -MULT_CAP:
+            raise QuiverError(f"arrow multiplicity exceeds cap {MULT_CAP}")
+        out.append(row)
+    return tuple(out)
 
 
 class Quiver:
-    """Immutable quiver on vertices ``1..n`` backed by a skew-symmetric matrix."""
+    """Immutable quiver on vertices ``1..n`` backed by a skew-symmetric matrix.
 
-    __slots__ = ("b", "n", "_bytes", "_canon")
+    ``rows`` holds the matrix as a tuple of ``n`` row tuples of plain ints;
+    every structural operation reads it.  ``b`` is the same matrix as a
+    read-only int64 numpy array, built on first access.
+    """
+
+    __slots__ = ("rows", "n", "_b", "_canon")
 
     def __init__(self, b):
         if isinstance(b, np.ndarray):
@@ -80,35 +96,39 @@ class Quiver:
                 raise QuiverError(
                     f"exchange matrix must have signed integer entries, not {b.dtype}"
                 )
-        else:
-            _check_int_rows(b)
-        arr = np.array(b, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise QuiverError("exchange matrix must be square")
-        n = arr.shape[0]
-        _check_vertex_count(n)
-        if np.any(np.diagonal(arr) != 0):
+            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+                raise QuiverError("exchange matrix must be square")
+            _check_vertex_count(b.shape[0])
+            b = b.tolist()
+        rows = _int_rows(b)
+        if any(row[i] != 0 for i, row in enumerate(rows)):
             raise QuiverError("diagonal entries must be zero (no loops)")
-        if not np.array_equal(arr, -arr.T):
+        if any(row != tuple(map(neg, col)) for row, col in zip(rows, zip(*rows))):
             raise QuiverError("exchange matrix must be skew-symmetric")
-        if np.any(np.abs(arr) > MULT_CAP):
-            raise QuiverError(f"arrow multiplicity exceeds cap {MULT_CAP}")
-        self._adopt(arr)
+        self._adopt(rows)
 
-    def _adopt(self, arr: np.ndarray) -> "Quiver":
-        """Freeze ``arr`` and take it as this quiver's matrix, unchecked."""
-        arr.setflags(write=False)
-        self.b = arr
-        self.n = arr.shape[0]
-        self._bytes = arr.tobytes()
+    def _adopt(self, rows: tuple[tuple[int, ...], ...]) -> "Quiver":
+        """Take ``rows`` as this quiver's matrix, unchecked."""
+        self.rows = rows
+        self.n = len(rows)
+        self._b = None
         self._canon = None
         return self
 
     @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "Quiver":
-        """Quiver on a fresh int64 matrix that internal code derived from a
-        valid quiver, so it needs none of the checks in ``__init__``."""
-        return cls.__new__(cls)._adopt(arr)
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "Quiver":
+        """Quiver on a tuple of int row tuples that internal code derived
+        from a valid quiver, so it needs none of the checks in ``__init__``."""
+        return cls.__new__(cls)._adopt(rows)
+
+    @property
+    def b(self) -> np.ndarray:
+        """The matrix as a read-only int64 array, built on first access."""
+        if self._b is None:
+            b = np.array(self.rows, dtype=np.int64)
+            b.setflags(write=False)
+            self._b = b
+        return self._b
 
     @classmethod
     def from_arrows(cls, n: int, arrows: Iterable[Sequence[int]]) -> "Quiver":
@@ -119,7 +139,7 @@ class Quiver:
         """
         n = _require_int(n, "vertex count")
         _check_vertex_count(n)
-        b = np.zeros((n, n), dtype=np.int64)
+        b = [[0] * n for _ in range(n)]
         seen = set()
         for entry in arrows:
             if len(entry) == 2:
@@ -144,34 +164,34 @@ class Quiver:
             if pair in seen:
                 raise QuiverError(f"duplicate arrow entry for vertex pair {pair}")
             seen.add(pair)
-            b[t - 1, h - 1] = m
-            b[h - 1, t - 1] = -m
+            b[t - 1][h - 1] = m
+            b[h - 1][t - 1] = -m
         return cls(b)
 
     def arrows(self) -> list[tuple[int, int, int]]:
         """All arrows as sorted ``(tail, head, mult)`` triples, 1-indexed."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.b[i, j] > 0:
-                    out.append((i + 1, j + 1, int(self.b[i, j])))
-        return out
+        return [
+            (i + 1, j + 1, m)
+            for i, row in enumerate(self.rows)
+            for j, m in enumerate(row)
+            if m > 0
+        ]
 
     def mult(self, i: int, j: int) -> int:
         """Signed multiplicity between vertices ``i`` and ``j`` (1-indexed)."""
         self._check_vertex(i)
         self._check_vertex(j)
-        return int(self.b[i - 1, j - 1])
+        return self.rows[i - 1][j - 1]
 
     def _check_vertex(self, k: int) -> None:
         if not (1 <= k <= self.n):
             raise QuiverError(f"vertex {k} outside 1..{self.n}")
 
     def __eq__(self, other):
-        return isinstance(other, Quiver) and self._bytes == other._bytes
+        return isinstance(other, Quiver) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self._bytes)
+        return hash(self.rows)
 
     def __repr__(self):
         return f"Quiver(n={self.n}, arrows={self.arrows()})"
@@ -227,7 +247,7 @@ class DirectSumDecomposition:
             return False
         if not left or not right:
             return False
-        cross = _cross_arrows(q.b.tolist(), self.part_left, self.part_right)
+        cross = _cross_arrows(q.rows, self.part_left, self.part_right)
         if cross is None or sorted(cross) != sorted(self.cross_arrows):
             return False
         return self.t == len({t for t, _ in cross})
@@ -235,7 +255,7 @@ class DirectSumDecomposition:
 
 def _cross_arrows(rows, left, right) -> Optional[list[tuple[int, int]]]:
     """The arrows from ``left`` to ``right`` (1-indexed labels, ``rows`` the
-    matrix as nested lists), in left-major order, or None unless every arrow
+    matrix as row tuples), in left-major order, or None unless every arrow
     between the parts is single and points left to right."""
     cross = []
     for i in left:
@@ -248,6 +268,16 @@ def _cross_arrows(rows, left, right) -> Optional[list[tuple[int, int]]]:
     return cross
 
 
+def _take(rows, idx: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The submatrix of ``rows`` on the 0-based indices ``idx``, in that
+    order, as row tuples."""
+    if len(idx) == 1:
+        i = idx[0]
+        return ((rows[i][i],),)
+    get = itemgetter(*idx)
+    return tuple(map(get, get(rows)))
+
+
 def relabel(q: Quiver, sigma: Sequence[int]) -> Quiver:
     """Apply the vertex permutation ``sigma`` (``sigma[i-1]`` is the new label
     of vertex ``i``), so the result satisfies ``b'[s(i)][s(j)] = b[i][j]``."""
@@ -256,14 +286,56 @@ def relabel(q: Quiver, sigma: Sequence[int]) -> Quiver:
     inv = [0] * q.n
     for i, s in enumerate(sigma):
         inv[s - 1] = i
-    return Quiver._trusted(q.b[np.ix_(inv, inv)])
+    return Quiver._trusted(_take(q.rows, inv))
+
+
+def _mutate_int(rows, k: int):
+    """Mutation at vertex ``k`` (0-based) of the matrix whose rows are
+    ``rows``: ``n = len(rows)`` row tuples of plain ints whose first ``n``
+    columns are the exchange matrix B and whose further columns, if any,
+    are frozen (the c-vectors of a framed state).
+
+    Row ``k`` is negated; a row ``i`` with ``b_ik == 0`` is returned as the
+    same object; any other row becomes ``r[j] + b_ik * max(sign(b_ik) *
+    r_k[j], 0)`` with ``-b_ik`` at ``k``, which touches only the columns
+    where row ``k`` has the sign of ``b_ik``.  Returns the new rows, or None
+    when a changed entry would exceed ``MULT_CAP`` (every other entry is the
+    parent's, within the cap).
+    """
+    up = []  # (j, r_k[j]) where r_k[j] > 0
+    down = []  # (j, -r_k[j]) where r_k[j] < 0
+    for j, y in enumerate(rows[k]):
+        if y > 0:
+            up.append((j, y))
+        elif y < 0:
+            down.append((j, -y))
+    out = []
+    for i, r in enumerate(rows):
+        b = r[k]
+        if i == k:
+            out.append(tuple([-x for x in r]))
+        elif b == 0:
+            out.append(r)
+        else:
+            row = list(r)
+            for j, y in up if b > 0 else down:
+                x = row[j] + b * y
+                if x > MULT_CAP or x < -MULT_CAP:
+                    return None
+                row[j] = x
+            row[k] = -b
+            out.append(tuple(row))
+    return tuple(out)
 
 
 def _mutate_matrix(b: np.ndarray, k: int, frozen: int, what: str) -> np.ndarray:
-    """Matrix mutation at vertex ``k`` (1-indexed): compose 2-paths through
-    ``k``, reverse the arrows at ``k``, cancel opposite pairs.  Vertices from
-    index ``frozen`` on are frozen, and arrows between two of them are
-    deleted.  Raises instead of exceeding ``MULT_CAP``."""
+    """Matrix mutation at vertex ``k`` (1-indexed) on a numpy matrix:
+    compose 2-paths through ``k``, reverse the arrows at ``k``, cancel
+    opposite pairs.  Vertices from index ``frozen`` on are frozen, and
+    arrows between two of them are deleted.  Raises instead of exceeding
+    ``MULT_CAP``.  This is the framed-state replay's formula, kept apart
+    from ``_mutate_int`` so that the replay checks the search
+    independently."""
     kk = k - 1
     pos_in = np.maximum(b[:, kk], 0)  # multiplicities of arrows into k
     pos_out = np.maximum(b[kk, :], 0)  # multiplicities of arrows out of k
@@ -280,7 +352,10 @@ def _mutate_matrix(b: np.ndarray, k: int, frozen: int, what: str) -> np.ndarray:
 def mutate(q: Quiver, k: int) -> Quiver:
     """Mutate at vertex ``k``.  The input is unchanged."""
     q._check_vertex(k)
-    return Quiver._trusted(_mutate_matrix(q.b, k, q.n, "mutation"))
+    rows = _mutate_int(q.rows, k - 1)
+    if rows is None:
+        raise QuiverError(f"mutation at {k} overflows the multiplicity cap")
+    return Quiver._trusted(rows)
 
 
 def mutate_sequence(q: Quiver, seq: Iterable[int]) -> Quiver:
@@ -291,7 +366,7 @@ def mutate_sequence(q: Quiver, seq: Iterable[int]) -> Quiver:
 
 def opposite(q: Quiver) -> Quiver:
     """Reverse every arrow."""
-    return Quiver._trusted(-q.b)
+    return Quiver._trusted(tuple(tuple([-x for x in row]) for row in q.rows))
 
 
 def induced_subquiver(q: Quiver, vs: Iterable[int]) -> tuple[Quiver, tuple[int, ...]]:
@@ -306,42 +381,53 @@ def induced_subquiver(q: Quiver, vs: Iterable[int]) -> tuple[Quiver, tuple[int, 
         raise QuiverError("vertex set must be nonempty")
     for v in vlist:
         q._check_vertex(v)
-    idx = [v - 1 for v in vlist]
-    sub = Quiver._trusted(q.b[np.ix_(idx, idx)])
+    sub = Quiver._trusted(_take(q.rows, [v - 1 for v in vlist]))
     return sub, tuple(vlist)
 
 
 def underlying_edges(q: Quiver) -> list[tuple[int, int]]:
     """Edges of the underlying undirected simple graph as ``(i, j)`` with i < j."""
+    rows = q.rows
     return [
         (i + 1, j + 1)
         for i in range(q.n)
         for j in range(i + 1, q.n)
-        if q.b[i, j] != 0
+        if rows[i][j] != 0
     ]
+
+
+# The diagonal is zero and b[j][i] = -b[i][j], so a row's least entry is 0
+# exactly when nothing arrives at its vertex, and its greatest exactly when
+# nothing leaves it.
 
 
 def sources(q: Quiver) -> tuple[int, ...]:
     """Vertices that are not the head of any arrow."""
-    return tuple(i + 1 for i in range(q.n) if np.all(q.b[:, i] <= 0))
+    return tuple(i + 1 for i, row in enumerate(q.rows) if min(row) == 0)
 
 
 def sinks(q: Quiver) -> tuple[int, ...]:
     """Vertices that are not the tail of any arrow."""
-    return tuple(i + 1 for i in range(q.n) if np.all(q.b[i, :] <= 0))
+    return tuple(i + 1 for i, row in enumerate(q.rows) if max(row) == 0)
 
 
 def is_acyclic(q: Quiver) -> bool:
-    """True iff the arrow digraph has no directed cycle (peel sources off)."""
-    remaining = set(range(q.n))
-    while remaining:
-        srcs = [
-            i for i in remaining if all(q.b[j, i] <= 0 for j in remaining)
-        ]
-        if not srcs:
-            return False
-        remaining.difference_update(srcs)
-    return True
+    """True iff the arrow digraph has no directed cycle: Kahn's algorithm
+    removes every vertex exactly then."""
+    rows = q.rows
+    # b[v][j] < 0 for each arrow j -> v
+    indegree = [sum(1 for x in row if x < 0) for row in rows]
+    ready = [v for v, d in enumerate(indegree) if d == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for w, m in enumerate(rows[v]):
+            if m > 0:
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    ready.append(w)
+    return removed == q.n
 
 
 def _cycle_order(rows, vs: Sequence[int]) -> Optional[list[int]]:
@@ -372,8 +458,8 @@ def _cycle_order(rows, vs: Sequence[int]) -> Optional[list[int]]:
 
 
 def _chordless_cycles(rows) -> Iterator[list[tuple[list[int], bool]]]:
-    """Chordless cycles of the underlying graph of the matrix ``rows`` (nested
-    lists), one list per length 3..n, so a caller can stop after any length.
+    """Chordless cycles of the underlying graph of the matrix ``rows`` (row
+    tuples), one list per length 3..n, so a caller can stop after any length.
 
     Each cycle is an ordered vertex list starting at its least vertex, in
     arrow direction when the arrows run consistently around it, together
@@ -404,7 +490,7 @@ def induced_cycles(q: Quiver) -> list[tuple[tuple[int, ...], bool]]:
     """
     cycles = [
         (tuple(order), oriented)
-        for layer in _chordless_cycles(q.b.tolist())
+        for layer in _chordless_cycles(q.rows)
         for order, oriented in layer
     ]
     return sorted(cycles, key=lambda item: (len(item[0]), item[0]))
@@ -416,7 +502,7 @@ def b_matrix_rank(q: Quiver) -> int:
     Uses fraction-free (Bareiss) elimination on Python integers, so there is
     no overflow or rounding; skew-symmetry makes the result even.
     """
-    m = [[int(x) for x in row] for row in q.b]
+    m = [list(row) for row in q.rows]
     n = q.n
     rank = 0
     prev = 1
@@ -443,7 +529,7 @@ def find_direct_sum(q: Quiver) -> Optional[DirectSumDecomposition]:
     cross arrows are all single and all point left to right, or None."""
     if q.n > 16:
         raise QuiverError("direct-sum scan is exhaustive and capped at 16 vertices")
-    rows = q.b.tolist()
+    rows = q.rows
     verts = list(range(1, q.n + 1))
     for size in range(1, q.n):
         for left in combinations(verts, size):
@@ -467,7 +553,7 @@ def find_ending_kcycle(q: Quiver) -> Optional[tuple[tuple[int, ...], int]]:
     Returns the smallest such k and then the lexicographically least ordered
     cycle, as ``(cycle, attachment)`` with ``attachment == cycle[-1]``.
     """
-    rows = q.b.tolist()
+    rows = q.rows
     for layer in _chordless_cycles(rows):
         found = []
         for order, oriented in layer:
@@ -503,11 +589,10 @@ def separating_edges(q: Quiver) -> list[tuple[int, int]]:
     n = q.n
     succ = {v: set() for v in range(1, n + 1)}
     pred = {v: set() for v in range(1, n + 1)}
-    for i in range(n):
-        for j in range(n):
-            if q.b[i, j] > 0:
-                succ[i + 1].add(j + 1)
-                pred[j + 1].add(i + 1)
+    arrows = [(t, h) for t, h, _ in q.arrows()]
+    for i, j in arrows:
+        succ[i].add(j)
+        pred[j].add(i)
 
     on_cycle = set()
     for v in range(1, n + 1):
@@ -532,10 +617,6 @@ def separating_edges(q: Quiver) -> list[tuple[int, int]]:
     fed_by_cycle = closure(on_cycle, succ)  # vertices some cycle reaches
     feeds_cycle = closure(on_cycle, pred)  # vertices that reach some cycle
 
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if q.b[i, j] > 0:
-                if not (i + 1 in fed_by_cycle and j + 1 in feeds_cycle):
-                    out.append((i + 1, j + 1))
-    return out
+    return [
+        (i, j) for i, j in arrows if not (i in fed_by_cycle and j in feeds_cycle)
+    ]

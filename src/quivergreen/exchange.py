@@ -78,8 +78,10 @@ def _canonical_rep(q: Quiver) -> tuple[CanonicalKey, Quiver]:
 def _neighbours(key: bytes, rep: Quiver, vertices, back: dict[bytes, set[int]]):
     """Mutate the canonical representative ``rep`` (key ``key``) at each of
     ``vertices``, skipping those recorded in ``back[key]``, and yield
-    ``(child key, child representative, back vertex)``, or None for a
-    mutation beyond the multiplicity cap.
+    ``(child key, child, canonical witness sigma, back vertex)``, or None
+    for a mutation beyond the multiplicity cap.  Only a caller that keeps
+    the child as a new class needs its representative ``relabel(child,
+    sigma)``, so the relabelling is left to it.
 
     Mutation is an involution that commutes with relabelling: if
     ``mu_k(rep)`` canonicalises with witness ``sigma``, then
@@ -100,7 +102,7 @@ def _neighbours(key: bytes, rep: Quiver, vertices, back: dict[bytes, set[int]]):
             yield None
             continue
         ckey, sigma = canonical_form(child)
-        yield ckey, relabel(child, sigma), sigma[k - 1]
+        yield ckey, child, sigma, sigma[k - 1]
 
 
 def _link(
@@ -154,12 +156,13 @@ def explore(
                     node.truncated = True
                     graph.complete = False
                     continue
-                ckey, crep, vertex = step
+                ckey, child, sigma, vertex = step
                 if ckey.data not in graph.nodes:
                     if len(graph.nodes) >= max_nodes:
                         # no node for the child, so no edge to it either
                         graph.complete = False
                         continue
+                    crep = relabel(child, sigma)
                     cnode = ExchangeNode(
                         ckey,
                         crep,
@@ -175,7 +178,8 @@ def explore(
 
 
 def _over_mult(q: Quiver, max_mult: int) -> bool:
-    return bool((abs(q.b) > max_mult).any())
+    # skew-symmetry: the largest entry is the largest multiplicity
+    return max(map(max, q.rows)) > max_mult
 
 
 def enumerate_acyclic(q: Quiver) -> list[Quiver]:
@@ -193,10 +197,11 @@ def enumerate_acyclic(q: Quiver) -> list[Quiver]:
         for cur_key, cur in frontier:
             vertices = sorted(set(sources(cur)) | set(sinks(cur)))
             # a sink or source mutation only reverses arrows, never overflows
-            for ckey, crep, vertex in _neighbours(cur_key, cur, vertices, back):
+            steps = _neighbours(cur_key, cur, vertices, back)
+            for ckey, child, sigma, vertex in steps:
                 back.setdefault(ckey.data, set()).add(vertex)
                 if ckey.data not in found:
-                    found[ckey.data] = crep
+                    crep = found[ckey.data] = relabel(child, sigma)
                     nxt.append((ckey.data, crep))
         frontier = nxt
     return [found[k] for k in sorted(found)]
@@ -269,7 +274,7 @@ def psi_component(
                 if step is None:
                     unresolved += 1  # neighbour beyond exact integer range
                     continue
-                ckey, crep, vertex = step
+                ckey, child, sigma, vertex = step
                 if ckey.data in boundary:
                     boundary[ckey.data].members.add(node.key.data)
                     continue
@@ -278,6 +283,7 @@ def psi_component(
                         graph.complete = False
                         unresolved += 1
                         continue
+                    crep = relabel(child, sigma)
                     verdict = decide_mgs(crep, max_len, max_states)
                     if verdict.no:
                         boundary[ckey.data] = BoundaryEntry(

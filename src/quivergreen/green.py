@@ -20,10 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    MULT_CAP,
     DirectSumDecomposition,
     Quiver,
     Rank3Params,
+    _mutate_int,
     _mutate_matrix,
     _require_budget,
     induced_subquiver,
@@ -71,7 +71,8 @@ class FramedQuiver:
 
     def mutable_block(self) -> Quiver:
         # skew-symmetric and within the cap: frame and mutate_framed keep it so
-        return Quiver._trusted(self.ext[: self.n, : self.n].copy())
+        block = self.ext[: self.n, : self.n].tolist()
+        return Quiver._trusted(tuple(map(tuple, block)))
 
     def c_block(self) -> np.ndarray:
         return self.ext[: self.n, self.n :]
@@ -224,7 +225,8 @@ def check_mgs(q: Quiver, seq) -> tuple[Optional[MgsCertificate], str]:
         return None, "final frozen block is not minus a permutation matrix"
     # relabelling the final block by sigma must give back the input
     idx = [s - 1 for s in sigma]
-    if not np.array_equal(q.b[np.ix_(idx, idx)], fq.mutable_block().b):
+    n = fq.n
+    if not np.array_equal(q.b[np.ix_(idx, idx)], fq.ext[:n, :n]):
         return None, "induced permutation does not map the result back"
     return MgsCertificate(seq, sigma), ""
 
@@ -252,8 +254,7 @@ def _frame_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:
     they serve as the exact key of a framed state."""
     n = q.n
     return tuple(
-        tuple(int(x) for x in q.b[i]) + tuple(int(i == j) for j in range(n))
-        for i in range(n)
+        row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(q.rows)
     )
 
 
@@ -262,32 +263,19 @@ def _mutate_rows(rows, green: int, k: int, n: int):
     ``green`` has bit ``i`` set when vertex ``i+1`` is green.
 
     Returns ``(child rows, child green bits)``, or None when an entry would
-    exceed ``MULT_CAP`` (where ``mutate_framed`` raises).  Row ``k`` is
-    negated; a row ``i`` with ``b_ik == 0`` is reused as is; any other row
-    becomes ``r[j] + b_ik * max(sign(b_ik) * r_k[j], 0)`` with ``-b_ik`` at
-    ``k``.  Every rebuilt c-row is checked for sign-coherence; reused rows
-    keep the parent's verdict, so every state the search builds is checked
-    in full.
+    exceed ``MULT_CAP`` (where ``mutate_framed`` raises).  The rows are
+    mutated by the integer kernel ``core._mutate_int``, which hands back
+    every row it leaves alone as the same object.  Every rebuilt c-row is
+    checked for sign-coherence; reused rows keep the parent's verdict, so
+    every state the search builds is checked in full.
     """
-    rk = rows[k]
-    up = [x if x > 0 else 0 for x in rk]  # max(r_k[j], 0)
-    down = [-x if x < 0 else 0 for x in rk]  # max(-r_k[j], 0)
-    out = []
+    out = _mutate_int(rows, k)
+    if out is None:
+        return None
     bad = -1
-    for i, r in enumerate(rows):
-        b = r[k]
-        if i == k:
-            row = tuple([-x for x in r])
-        elif b == 0:
-            out.append(r)
+    for i, row in enumerate(out):
+        if row is rows[i]:
             continue
-        else:
-            row = [x + b * y for x, y in zip(r, up if b > 0 else down)]
-            row[k] = -b
-            if max(row) > MULT_CAP or min(row) < -MULT_CAP:
-                return None
-            row = tuple(row)
-        out.append(row)
         c = row[n:]
         lo, hi = min(c), max(c)
         if lo >= 0 and hi > 0:
@@ -300,7 +288,7 @@ def _mutate_rows(rows, green: int, k: int, n: int):
         raise InternalInvariantError(
             f"vertex {bad + 1} is neither green nor red; framed state corrupt"
         )
-    return tuple(out), green
+    return out, green
 
 
 def search_mgs(
@@ -440,9 +428,9 @@ def acyclic_mgs(q: Quiver) -> MgsCertificate:
     result."""
     if not is_acyclic(q):
         raise QuiverError("acyclic_mgs requires an acyclic quiver")
-    b = q.b.tolist()
+    b = q.rows
     n = q.n
-    indegree = [sum(1 for row in b if row[v] > 0) for v in range(n)]
+    indegree = [sum(1 for x in row if x < 0) for row in b]  # b[v][w] < 0: w -> v
     ready = [v for v in range(n) if indegree[v] == 0]
     heapq.heapify(ready)
     seq = []

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Optional, Union
 
-import numpy as np
-
 from .canonical import are_isomorphic, canonical_key
 from .core import (
     Quiver,
@@ -206,7 +204,9 @@ def is_mutation_acyclic(
     mutation-acyclic quivers admit an admissible companion).  Otherwise a
     breadth-first scan over isomorphism classes up to ``depth`` mutations
     looks for an acyclic member.  ``depth`` must be an integer of at least 0
-    and ``max_quivers`` one of at least 1; both are checked on entry.
+    and ``max_quivers`` one of at least 1; both are checked on entry.  A
+    mutation beyond the multiplicity cap leaves its branch unexplored, so
+    the scan then never reports the class as exhausted.
     """
     depth = _require_int(depth, "depth")
     if depth < 0:
@@ -227,7 +227,11 @@ def is_mutation_acyclic(
             for k in range(1, cur.n + 1):
                 if seq and k == seq[-1]:
                     continue  # mutation is an involution: this is the parent
-                child = mutate(cur, k)
+                try:
+                    child = mutate(cur, k)
+                except QuiverError:  # beyond the multiplicity cap
+                    exhausted = False
+                    continue
                 key = canonical_key(child).data
                 if key in seen:
                     continue
@@ -329,9 +333,9 @@ class MgsVerdict:
 
 
 def _rank3_cycle(
-    rows: list[list[int]], vs: tuple[int, int, int]
+    rows: tuple[tuple[int, ...], ...], vs: tuple[int, int, int]
 ) -> Optional[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-    """If the vertices ``vs`` (``rows`` the matrix as nested lists) span an
+    """If the vertices ``vs`` (``rows`` the matrix as row tuples) span an
     oriented 3-cycle, its order ``(v1, v2, v3)`` in positions 1..3 of ``vs``,
     ``(1, 2, 3)`` or ``(1, 3, 2)``, and multiplicities ``(a, b, c)`` with
     ``a`` arrows v1 -> v2, ``b`` arrows v2 -> v3, ``c`` arrows v3 -> v1;
@@ -366,7 +370,7 @@ def _find_bad_subquiver(q: Quiver) -> Optional[SubquiverObstruction]:
     triples in lexicographic order, then a match against the no-MGS catalog
     entries, tried only at their ranks (by size, subset, then entry)."""
     verts = range(1, q.n + 1)
-    rows = q.b.tolist()
+    rows = q.rows
     for vs in combinations(verts, 3):
         shape = _rank3_cycle(rows, vs)
         if shape is not None and min(shape[1]) >= 2:
@@ -480,7 +484,7 @@ def good_vertices(q: Quiver) -> tuple[int, ...]:
         raise CapabilityError("good-vertex analysis is implemented for rank 3 and 4")
     out = []
     for k in range(1, q.n + 1):
-        if np.any(q.b[:, k - 1] >= 2):
+        if any(row[k - 1] >= 2 for row in q.rows):
             continue  # head of a multiple arrow
         image = mutate(q, k)
         if _find_bad_subquiver(image) is None:
@@ -498,7 +502,7 @@ def recheck_obstruction(q: Quiver, obs: Obstruction) -> bool:
     if isinstance(obs, Rank3CyclicObstruction):
         if q.n != 3:
             return False
-        shape = _rank3_cycle(q.b.tolist(), (1, 2, 3))
+        shape = _rank3_cycle(q.rows, (1, 2, 3))
         return (
             shape is not None
             and shape == (obs.vertices, obs.mults)
@@ -530,7 +534,7 @@ def recheck_obstruction(q: Quiver, obs: Obstruction) -> bool:
 
 
 def _decide_rank3(q: Quiver) -> MgsVerdict:
-    shape = _rank3_cycle(q.b.tolist(), (1, 2, 3))
+    shape = _rank3_cycle(q.rows, (1, 2, 3))
     if shape is None:
         raise InternalInvariantError("rank-3 decider called on a non-cyclic quiver")
     (v1, v2, v3), (a, b, c) = shape

@@ -341,3 +341,13 @@ def test_cli_bad_mutation_acyclic_budget_is_an_input_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and "must be at least" in err
     assert "Traceback" not in err
+
+
+def test_cli_mutation_acyclic_past_the_multiplicity_cap_is_unknown(tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text('{"b": [[0,2,-1,-1],[-2,0,1,1],[1,-1,0,2],[1,-1,-2,0]]}')
+    code, out, err = run_cli(capsys, "mutation-acyclic", str(path))
+    assert (code, out, err) == (2, "unknown (budget reached)\n", "")
+    code, out, err = run_cli(capsys, "invariants", str(path))
+    assert code == 0 and "mutation-acyclic: unknown" in out
+    assert "error" not in err

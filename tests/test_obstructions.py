@@ -537,3 +537,11 @@ def test_is_mutation_acyclic_rejects_bad_budgets_on_entry(
     # depth 0 is a legitimate budget: no mutation at all
     monkeypatch.undo()
     assert is_mutation_acyclic(make_rank3(1, 1, 1), 0, 1).note == "budget reached"
+
+
+def test_is_mutation_acyclic_counts_a_capped_branch_as_not_covered():
+    # a member within the default depth mutates beyond MULT_CAP; that branch
+    # is unexplored, so the class is never reported as exhausted
+    q = Quiver([[0, 2, -1, -1], [-2, 0, 1, 1], [1, -1, 0, 2], [1, -1, -2, 0]])
+    result = is_mutation_acyclic(q)
+    assert (result.kind, result.note) == ("unknown", "budget reached")

@@ -1,9 +1,15 @@
 """The benchmark's layer tracer names library functions and classes by
-string; a rename in the library must fail here, not in the benchmark."""
+string; a rename in the library must fail here, not in the benchmark.  The
+uninstalled checkout's entry points, ``python -m quivergreen`` and the demo
+scripts, must run without a traceback."""
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from quivergreen import obstructions
 
@@ -35,3 +41,28 @@ def test_tracing_obstruction_stages_name_obstruction_classes():
     tracing = _import_tracing()
     for name in tracing._OBSTRUCTION_STAGE:
         assert isinstance(getattr(obstructions, name, None), type), name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _run(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    proc = _run("-m", "quivergreen", "decide", "catalog:K4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("yes")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs_cleanly(demo):
+    proc = _run(str(demo))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -237,3 +237,39 @@ def test_is_mutation_acyclic_mutate_calls_pinned(
     ref = is_mutation_acyclic_reference(q, depth, max_quivers)
     assert calls[0] == expected_reference
     assert (got.kind, got.note) == (ref.kind, ref.note)
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (lambda: explore(D6), 80),  # 80 nodes
+        (lambda: explore(E6), 67),  # 67 nodes
+        # 17 nodes and 12 boundary entries
+        (lambda: psi_component(catalog.get("K4").quiver), 29),
+        (lambda: enumerate_acyclic(D6), 24),  # 24 acyclic classes
+    ],
+    ids=["explore-D6", "explore-E6", "psi-K4", "enumerate-acyclic-D6"],
+)
+def test_relabel_calls_pinned(monkeypatch, run, expected):
+    # a child is relabelled into its canonical representative only when its
+    # class is new: once per node, boundary entry or acyclic member
+    calls = [0]
+    relabel = exchange.relabel
+
+    def counting(q, sigma):
+        calls[0] += 1
+        return relabel(q, sigma)
+
+    monkeypatch.setattr(exchange, "relabel", counting)
+    run()
+    assert calls[0] == expected
+
+
+def test_walks_build_no_numpy_matrix_outside_the_mgs_replay():
+    graph = explore(E6)
+    assert graph.nodes and all(n.quiver._b is None for n in graph.nodes.values())
+    # every member's MGS was replayed on numpy framed states; no boundary
+    # entry has an MGS to replay
+    psi = psi_component(catalog.get("K4").quiver)
+    assert all(n.quiver._b is not None for n in psi.graph.nodes.values())
+    assert psi.boundary and all(e.quiver._b is None for e in psi.boundary)

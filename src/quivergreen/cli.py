@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import catalog as cat
-from .core import Quiver, is_acyclic, mutate
+from .core import Quiver, is_acyclic, mutate, mutate_sequence
 from .errors import CapabilityError, CertificateError, QuiverError
 from .exchange import (
     DEFAULT_MAX_MULT,
@@ -33,13 +33,12 @@ from .exchange import (
     psi_component,
 )
 from .green import rotate_mgs, search_mgs, verify_mgs
-from .io import dumps_quiver, format_arrows, load_quiver, quiver_to_json
+from .io import format_arrows, load_quiver, quiver_to_json
 from .obstructions import (
     decide_mgs,
     describe_obstruction,
     is_mutation_acyclic,
     louise_from_json,
-    obstruction_to_json,
     solve_admissibility,
     verdict_to_json,
     verify_louise_certificate,
@@ -105,8 +104,13 @@ class Output:
 
     def _write(self, body: str) -> None:
         if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(body)
+            try:
+                with open(self.path, "w") as fh:
+                    fh.write(body)
+            except OSError as exc:
+                raise QuiverError(
+                    f"cannot write output file {self.path!r}: {exc}"
+                ) from exc
         else:
             sys.stdout.write(body)
 
@@ -268,8 +272,6 @@ def cmd_acyclic_count(args, out: Output) -> int:
         return EXIT_OK
     probe = is_mutation_acyclic(q, depth=args.depth, max_quivers=args.max_nodes)
     if probe.kind == "yes":
-        from .core import mutate_sequence
-
         members = enumerate_acyclic(mutate_sequence(q, probe.sequence))
         out.emit({"acyclicCount": len(members)}, f"{len(members)} acyclic classes")
         return EXIT_OK
@@ -293,6 +295,8 @@ def cmd_invariants(args, out: Output) -> int:
     lines.append(f"mutation-acyclic: {report['mutation_acyclic']}")
     if "acyclic_count" in report:
         lines.append(f"acyclic classes: {report['acyclic_count']}")
+    if "mgs" in report:
+        lines.append(f"MGS: {report['mgs']}")
     if "psi" in report:
         psi = report["psi"]
         lines.append(

@@ -7,7 +7,8 @@ operations take and return 1-indexed vertex labels.  The matrix itself is
 0-indexed and held as ``Quiver.rows``, a tuple of row tuples of plain Python
 ints: mutation, relabelling and every structural scan run on those, with
 one integer mutation kernel (``_mutate_int``).  numpy serves only the
-read-only ``Quiver.b`` view and the framed-state replay in ``green``.
+read-only ``Quiver.b`` view and ``ndarray`` input; no other module of the
+package imports it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 
 from .errors import QuiverError
 
-# Multiplicities above this cap abort with an error instead of overflowing.
-# int64 arithmetic is exact for the mutation formula as long as every entry
-# stays within the cap, since cap**2 + cap < 2**63.
+# Multiplicities above this cap abort with an error instead of growing
+# without bound; every entry then fits the int64 of ``Quiver.b`` and of the
+# canonical key bytes.
 MULT_CAP = 2**31 - 1
 
 # Vertex counts above this cap are rejected before any matrix is allocated
@@ -326,27 +327,6 @@ def _mutate_int(rows, k: int):
             row[k] = -b
             out.append(tuple(row))
     return tuple(out)
-
-
-def _mutate_matrix(b: np.ndarray, k: int, frozen: int, what: str) -> np.ndarray:
-    """Matrix mutation at vertex ``k`` (1-indexed) on a numpy matrix:
-    compose 2-paths through ``k``, reverse the arrows at ``k``, cancel
-    opposite pairs.  Vertices from index ``frozen`` on are frozen, and
-    arrows between two of them are deleted.  Raises instead of exceeding
-    ``MULT_CAP``.  This is the framed-state replay's formula, kept apart
-    from ``_mutate_int`` so that the replay checks the search
-    independently."""
-    kk = k - 1
-    pos_in = np.maximum(b[:, kk], 0)  # multiplicities of arrows into k
-    pos_out = np.maximum(b[kk, :], 0)  # multiplicities of arrows out of k
-    paths = np.outer(pos_in, pos_out)
-    new = b + paths - paths.T
-    new[kk, :] = -b[kk, :]
-    new[:, kk] = -b[:, kk]
-    new[frozen:, frozen:] = 0
-    if np.any(np.abs(new) > MULT_CAP):
-        raise QuiverError(f"{what} at {k} overflows the multiplicity cap")
-    return new
 
 
 def mutate(q: Quiver, k: int) -> Quiver:

@@ -30,6 +30,7 @@ from .obstructions import (
     Obstruction,
     decide_mgs,
     is_mutation_acyclic,
+    obstruction_to_json,
     solve_admissibility,
 )
 
@@ -374,8 +375,6 @@ def graph_to_json(graph: ExchangeGraph, boundary: Optional[list[BoundaryEntry]] 
         "meta": dict(sorted(graph.meta.items())),
     }
     if boundary is not None:
-        from .obstructions import obstruction_to_json
-
         payload["boundary"] = [
             {
                 "key": entry.key.hex(),

@@ -7,6 +7,10 @@ of mutations at mutable vertices every mutable vertex is green (no arrows
 arriving from frozen vertices) or red (no arrows leaving towards frozen
 vertices), never both or neither; the engine asserts this at every state.
 
+Everything here runs on plain Python ints.  The search mutates framed rows
+with the kernel ``core._mutate_int``; the replay (:func:`mutate_framed`) is
+a second implementation of mutation, so it checks the search independently.
+
 Builders never trust the theorems that motivate them: every certificate they
 return has been replayed and re-verified before it leaves this module.
 """
@@ -17,15 +21,14 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     DirectSumDecomposition,
+    MULT_CAP,
     Quiver,
     Rank3Params,
     _mutate_int,
-    _mutate_matrix,
     _require_budget,
+    _take,
     induced_subquiver,
     is_acyclic,
     mutate,
@@ -40,91 +43,113 @@ def default_max_len(n: int) -> int:
 
 
 class FramedQuiver:
-    """Immutable framed-quiver state: a ``2n x 2n`` skew-symmetric matrix over
-    mutable vertices ``1..n`` and frozen vertices ``n+1..2n``, with the
-    frozen-frozen block identically zero."""
+    """Immutable framed-quiver state over mutable vertices ``1..n`` and
+    frozen vertices ``n+1..2n``, held as the top ``n`` rows ``B | C`` of its
+    ``2n x 2n`` skew-symmetric matrix: tuples of ``2n`` plain ints.  They
+    fix the whole matrix, whose bottom rows are ``-C^T | 0``."""
 
-    __slots__ = ("ext", "n", "_green")
+    __slots__ = ("rows", "n", "_green")
 
-    def __init__(self, ext: np.ndarray, n: int):
-        ext = np.asarray(ext, dtype=np.int64)
-        if ext.shape != (2 * n, 2 * n):
-            raise QuiverError("framed matrix must be 2n x 2n")
-        ext.setflags(write=False)
-        self.ext = ext
+    def __init__(self, rows):
+        rows = tuple(map(tuple, rows))
+        n = len(rows)
+        if any(len(row) != 2 * n for row in rows):
+            raise QuiverError("framed state must be n rows of 2n entries")
+        self.rows = rows
         self.n = n
         self._green = self._assert_sign_coherent()
 
-    def _assert_sign_coherent(self) -> np.ndarray:
+    def _assert_sign_coherent(self) -> tuple[bool, ...]:
         """Raise unless every mutable vertex is green or red; return the
-        read-only green mask."""
-        c = self.ext[: self.n, self.n :]
-        nonneg = (c >= 0).all(axis=1)
-        nonpos = (c <= 0).all(axis=1)
-        if not np.all(nonneg ^ nonpos):
-            bad = int(np.argmin(nonneg ^ nonpos)) + 1
-            raise InternalInvariantError(
-                f"vertex {bad} is neither green nor red; framed state corrupt"
-            )
-        nonneg.setflags(write=False)
-        return nonneg
+        green mask."""
+        n = self.n
+        green = []
+        for i, row in enumerate(self.rows, start=1):
+            c = row[n:]
+            lo, hi = min(c), max(c)
+            if (lo >= 0) == (hi <= 0):
+                raise InternalInvariantError(
+                    f"vertex {i} is neither green nor red; framed state corrupt"
+                )
+            green.append(lo >= 0)
+        return tuple(green)
 
     def mutable_block(self) -> Quiver:
         # skew-symmetric and within the cap: frame and mutate_framed keep it so
-        block = self.ext[: self.n, : self.n].tolist()
-        return Quiver._trusted(tuple(map(tuple, block)))
+        return Quiver._trusted(tuple(row[: self.n] for row in self.rows))
 
-    def c_block(self) -> np.ndarray:
-        return self.ext[: self.n, self.n :]
+    def c_block(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(row[self.n :] for row in self.rows)
 
-    def green_mask(self) -> np.ndarray:
-        """Read-only boolean mask of the green vertices, computed once by the
-        sign-coherence check."""
+    def green_mask(self) -> tuple[bool, ...]:
+        """Green flag of each vertex, computed once by the sign-coherence
+        check."""
         return self._green
 
     def green_vertices(self) -> tuple[int, ...]:
-        return tuple(int(i) + 1 for i in np.flatnonzero(self._green))
+        return tuple(i for i, g in enumerate(self._green, start=1) if g)
 
     def all_red(self) -> bool:
-        return not self._green.any()
+        return not any(self._green)
 
     def __eq__(self, other):
-        return isinstance(other, FramedQuiver) and np.array_equal(
-            self.ext, other.ext
-        )
+        return isinstance(other, FramedQuiver) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.ext.tobytes())
+        return hash(self.rows)
 
     def __repr__(self):
         greens = ",".join(map(str, self.green_vertices()))
         return f"FramedQuiver(n={self.n}, green=[{greens}])"
 
 
-def frame(q: Quiver) -> FramedQuiver:
-    """Initial framed state: mutable block ``q.b``, one arrow ``i -> i'``
-    per vertex, everything green."""
+def _frame_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:
+    """Top ``n`` rows ``B | C`` of the initial framed matrix: ``q``'s rows
+    followed by the identity."""
     n = q.n
-    ext = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    ext[:n, :n] = q.b
-    eye = np.eye(n, dtype=np.int64)
-    ext[:n, n:] = eye
-    ext[n:, :n] = -eye
-    return FramedQuiver(ext, n)
+    return tuple(
+        row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(q.rows)
+    )
+
+
+def frame(q: Quiver) -> FramedQuiver:
+    """Initial framed state: mutable block ``q.rows``, one arrow ``i -> i'``
+    per vertex, everything green."""
+    return FramedQuiver(_frame_rows(q))
 
 
 def mutate_framed(fq: FramedQuiver, k: int) -> FramedQuiver:
     """Mutate the framed state at mutable vertex ``k``; arrows created between
     frozen vertices are deleted, matching ice-quiver mutation.
 
-    Entries are capped like plain quiver entries: one step from a within-cap
-    state is exact in 64-bit arithmetic, and a step that would exceed the cap
-    raises instead of silently wrapping (divergent quivers square their
-    multiplicities every round, so this triggers in finite depth).
+    Each entry follows the textbook rule: ``b'_ij = -b_ij`` when ``i`` or
+    ``j`` is ``k``, else ``b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2`` (so a
+    row with ``b_ik = 0`` is unchanged).  A step that would exceed the
+    multiplicity cap raises (divergent quivers square their multiplicities
+    every round, so this triggers in finite depth).
     """
-    if not (1 <= k <= fq.n):
-        raise QuiverError(f"vertex {k} outside mutable range 1..{fq.n}")
-    return FramedQuiver(_mutate_matrix(fq.ext, k, fq.n, "framed mutation"), fq.n)
+    n = fq.n
+    if not (1 <= k <= n):
+        raise QuiverError(f"vertex {k} outside mutable range 1..{n}")
+    kk = k - 1
+    rows = fq.rows
+    row_k = rows[kk]
+    out = []
+    for i, row in enumerate(rows):
+        b_ik = row[kk]
+        if i == kk:
+            row = tuple([-x for x in row])
+        elif b_ik:
+            a = abs(b_ik)
+            new = [x + (a * y + b_ik * abs(y)) // 2 for x, y in zip(row, row_k)]
+            new[kk] = -b_ik
+            if max(new) > MULT_CAP or min(new) < -MULT_CAP:
+                raise QuiverError(
+                    f"framed mutation at {k} overflows the multiplicity cap"
+                )
+            row = tuple(new)
+        out.append(row)
+    return FramedQuiver(out)
 
 
 GREEN = "green"
@@ -193,16 +218,12 @@ def _extract_permutation(fq: FramedQuiver) -> Optional[tuple[int, ...]]:
     relabelling the final mutable block by ``sigma`` recovers the starting
     quiver (the column reading would give the inverse map).
     """
-    c = fq.c_block()
     n = fq.n
-    if not np.all((c == 0) | (c == -1)):
-        return None
-    sigma = [0] * n
-    for i in range(n):
-        cols = np.flatnonzero(c[i, :] == -1)
-        if len(cols) != 1:
+    sigma = []
+    for c in fq.c_block():
+        if c.count(-1) != 1 or c.count(0) != n - 1:
             return None
-        sigma[i] = int(cols[0]) + 1
+        sigma.append(c.index(-1) + 1)
     if sorted(sigma) != list(range(1, n + 1)):
         return None
     return tuple(sigma)
@@ -225,8 +246,7 @@ def check_mgs(q: Quiver, seq) -> tuple[Optional[MgsCertificate], str]:
         return None, "final frozen block is not minus a permutation matrix"
     # relabelling the final block by sigma must give back the input
     idx = [s - 1 for s in sigma]
-    n = fq.n
-    if not np.array_equal(q.b[np.ix_(idx, idx)], fq.ext[:n, :n]):
+    if _take(q.rows, idx) != fq.mutable_block().rows:
         return None, "induced permutation does not map the result back"
     return MgsCertificate(seq, sigma), ""
 
@@ -246,16 +266,6 @@ class SearchResult:
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-
-def _frame_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:
-    """Top ``n`` rows ``B | C`` of the initial framed matrix as plain ints.
-    They fix the whole framed matrix (its bottom rows are ``-C^T | 0``), so
-    they serve as the exact key of a framed state."""
-    n = q.n
-    return tuple(
-        row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(q.rows)
-    )
 
 
 def _mutate_rows(rows, green: int, k: int, n: int):
@@ -318,8 +328,9 @@ def search_mgs(
     The search runs on integer rows: a state is the tuple of the top ``n``
     rows ``B | C`` of its framed matrix, mutated, capped and checked for
     sign-coherence by :func:`_mutate_rows`.  The sequence it returns is
-    replayed by :func:`verify_mgs` on numpy ``FramedQuiver`` states, an
-    independent implementation, before it is reported.
+    replayed by :func:`verify_mgs` on ``FramedQuiver`` states, whose rows
+    :func:`mutate_framed` mutates by a second plain-int implementation,
+    before it is reported.
 
     ``states`` counts the distinct framed states built over all passes,
     each once (every framed mutation is computed once per search), and

@@ -424,11 +424,12 @@ def bad_subquiver_reference(q: Quiver):
 
 
 def search_mgs_reference(q: Quiver, max_len=None, max_states=None, prune=True):
-    """The shortest-MGS search on numpy framed states, kept as the oracle for
-    ``green.search_mgs`` (which runs on integer rows): the same iterative
-    deepening on "depth + green count", with each state a ``FramedQuiver``
-    keyed by the bytes of its full matrix.  Status, certificate and
-    ``states`` must agree with the package search."""
+    """The shortest-MGS search on ``FramedQuiver`` states, kept as the oracle
+    for ``green.search_mgs`` (which runs on bare integer rows and the kernel
+    ``core._mutate_int``): the same iterative deepening on "depth + green
+    count", with each state built by ``mutate_framed`` and keyed by its
+    rows.  Status, certificate and ``states`` must agree with the package
+    search."""
     if max_len is None:
         max_len = default_max_len(q.n)
     if max_states is None:
@@ -437,37 +438,37 @@ def search_mgs_reference(q: Quiver, max_len=None, max_states=None, prune=True):
         raise QuiverError("max_len must be at least 1")
 
     start = frame(q)
-    start_key = start.ext.tobytes()
+    start_key = start.rows
     # memoised across passes: key -> (state, green count), and
     # key -> [(k, child key or None when the mutation hit the cap), ...]
-    built: dict[bytes, tuple[FramedQuiver, int]] = {start_key: (start, q.n)}
-    edges: dict[bytes, list[tuple[int, Optional[bytes]]]] = {}
+    built: dict[tuple, tuple[FramedQuiver, int]] = {start_key: (start, q.n)}
+    edges: dict[tuple, list[tuple[int, Optional[tuple]]]] = {}
     capped = False
     bound = min(q.n, max_len)
     while True:
         next_bound = None
         reached = {start_key}
-        layer: dict[bytes, tuple[int, ...]] = {start_key: ()}
+        layer: dict[tuple, tuple[int, ...]] = {start_key: ()}
         depth = 0
         while layer:
             depth += 1
-            next_layer: dict[bytes, tuple[int, ...]] = {}
+            next_layer: dict[tuple, tuple[int, ...]] = {}
             for key, seq in layer.items():
                 out = edges.get(key)
                 if out is None:
                     fq = built[key][0]
                     out = []
                     for k in fq.green_vertices():
-                        if prune and bool(np.any(fq.ext[: fq.n, k - 1] >= 2)):
+                        if prune and any(r[k - 1] >= 2 for r in fq.rows):
                             continue
                         try:
                             child = mutate_framed(fq, k)
                         except QuiverError:
                             out.append((k, None))
                             continue
-                        ckey = child.ext.tobytes()
+                        ckey = child.rows
                         if ckey not in built:
-                            green = int(np.count_nonzero(child.green_mask()))
+                            green = sum(child.green_mask())
                             built[ckey] = (child, green)
                             if len(built) > max_states:
                                 return SearchResult("budget", None, len(built))
@@ -521,9 +522,9 @@ def acyclic_mgs_reference(q: Quiver):
         greens = fq.green_vertices()
         if not greens:
             break
-        block = fq.ext[: q.n, : q.n]
+        block = fq.mutable_block().rows
         srcs = [
-            v for v in greens if all(block[w - 1, v - 1] <= 0 for w in greens)
+            v for v in greens if all(block[w - 1][v - 1] <= 0 for w in greens)
         ]
         if not srcs:
             raise InternalInvariantError(

@@ -1,11 +1,14 @@
-"""The shortest-MGS search on integer framed rows, checked against the numpy
-framed states it replaced: the kernel step by step against
-``mutate_framed``, and whole searches against ``search_mgs_reference``."""
+"""The shortest-MGS search on integer framed rows, checked against the
+replay's ``FramedQuiver`` states, which ``mutate_framed`` mutates by the
+textbook entry formula, a second plain-int implementation of mutation: the
+search kernel step by step against ``mutate_framed``, and whole searches
+against ``search_mgs_reference``.  The replay must certify every sequence
+without the search kernel."""
 
 import numpy as np
 import pytest
 
-from quivergreen import catalog
+from quivergreen import catalog, core, green
 from quivergreen.catalog import make_rank3
 from quivergreen.core import Quiver
 from quivergreen.errors import InternalInvariantError, QuiverError
@@ -15,6 +18,7 @@ from quivergreen.green import (
     frame,
     mutate_framed,
     search_mgs,
+    verify_mgs,
 )
 
 from oracles import random_quiver, search_mgs_reference
@@ -24,23 +28,13 @@ from oracles import random_quiver, search_mgs_reference
 CAP_PATH = Quiver([[0, 2**16, 0], [-(2**16), 0, 2**16], [0, -(2**16), 0]])
 
 
-def _rows_of(fq):
-    n = fq.n
-    return tuple(tuple(int(x) for x in fq.ext[i]) for i in range(n))
-
-
 def _green_bits(fq):
     return sum(1 << i for i in range(fq.n) if fq.green_mask()[i])
 
 
 def _assert_same_state(rows, green, fq):
-    n = fq.n
-    assert rows == _rows_of(fq)
+    assert rows == fq.rows
     assert green == _green_bits(fq)
-    # the top rows fix the whole framed matrix
-    c = fq.ext[:n, n:]
-    assert np.array_equal(fq.ext[n:, :n], -c.T)
-    assert not fq.ext[n:, n:].any()
 
 
 def test_frame_rows_match_frame():
@@ -97,6 +91,28 @@ def test_kernel_rejects_a_state_that_loses_sign_coherence(c_other):
     rows = ((0, -1, 1, 0), (1, 0) + c_other)
     with pytest.raises(InternalInvariantError, match="neither green nor red"):
         _mutate_rows(rows, 0b01, 0, 2)
+
+
+def test_replay_certifies_every_search_result_without_the_search_kernel(
+    monkeypatch,
+):
+    found = []
+    for name in catalog.names():
+        q = catalog.get(name).quiver
+        res = search_mgs(q, max_states=3000)
+        if res.found:
+            found.append((name, q, res.certificate))
+    assert len(found) >= 10
+
+    def refuse(rows, k):
+        raise AssertionError("the search kernel ran")
+
+    monkeypatch.setattr(core, "_mutate_int", refuse)
+    monkeypatch.setattr(green, "_mutate_int", refuse)
+    with pytest.raises(AssertionError, match="the search kernel ran"):
+        search_mgs(catalog.get("K4").quiver)
+    for name, q, cert in found:
+        assert verify_mgs(q, cert.sequence) == cert, name
 
 
 def _assert_matches_reference(q, **kwargs):

@@ -42,9 +42,9 @@ def test_frame_initial_state():
     q = make_rank3(2, 2, 2)
     fq = frame(q)
     assert fq.green_vertices() == (1, 2, 3)
-    assert np.array_equal(fq.ext[:3, :3], q.b)
-    assert np.array_equal(fq.c_block(), np.eye(3, dtype=int))
-    assert np.all(fq.ext[3:, 3:] == 0)
+    assert fq.n == 3 and fq.mutable_block().rows == q.rows
+    assert fq.c_block() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert fq.rows == tuple(b + c for b, c in zip(q.rows, fq.c_block()))
 
 
 def test_vertex_status_a2_by_hand():
@@ -58,12 +58,22 @@ def test_vertex_status_a2_by_hand():
 
 def test_sign_coherence_is_asserted():
     # a frozen block with a mixed-sign row is rejected outright
-    ext = np.zeros((4, 4), dtype=np.int64)
-    ext[0, 2], ext[2, 0] = 1, -1
-    ext[0, 3], ext[3, 0] = -1, 1
-    ext[1, 3], ext[3, 1] = 1, -1
+    rows = ((0, 0, 1, -1), (0, 0, 0, 1))
     with pytest.raises(InternalInvariantError):
-        FramedQuiver(ext, 2)
+        FramedQuiver(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((0, 0, 1, 0), (0, 0, 0)),  # a short row
+        ((0, 0, 1, 0, 0), (0, 0, 0, 1, 0)),  # 2n + 1 entries each
+        ((0, 1), (-1, 0)),  # a bare 2 x 2 exchange matrix
+    ],
+)
+def test_framed_state_needs_n_rows_of_2n_entries(rows):
+    with pytest.raises(QuiverError, match="n rows of 2n entries"):
+        FramedQuiver(rows)
 
 
 def test_apply_green_sequence_violation():

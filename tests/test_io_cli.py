@@ -147,6 +147,19 @@ def test_cli_invariants(capsys):
     assert data["psi"]["total"] == 17
 
 
+def test_cli_invariants_text_reports_the_mgs_verdict(capsys):
+    code, out, err = run_cli(capsys, "invariants", "R:1,3,5,op")
+    assert (code, err) == (0, "")
+    assert out == (
+        "rank(B) = 4\n"
+        "admissible: sat\n"
+        "mutation-acyclic: unknown\n"
+        "MGS: no\n"
+    )
+    code, out, _ = run_cli(capsys, "--format", "json", "invariants", "R:1,3,5,op")
+    assert code == 0 and json.loads(out)["mgs"] == "no"
+
+
 def test_cli_acyclic_count(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "acyclic-count", "catalog:A3")
     assert code == 0 and json.loads(out)["acyclicCount"] == 3
@@ -190,6 +203,15 @@ def test_cli_output_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["verdict"] == "yes"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_cli_unwritable_output_file_is_an_input_error(capsys, tmp_path, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "--out", str(path), "decide", "catalog:K4")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write output file")
+    assert "Traceback" not in err
 
 
 def test_cli_byte_identical_reruns(capsys):

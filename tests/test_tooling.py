@@ -3,6 +3,7 @@ string; a rename in the library must fail here, not in the benchmark.  The
 uninstalled checkout's entry points, ``python -m quivergreen`` and the demo
 scripts, must run without a traceback."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -66,3 +67,26 @@ def test_demo_runs_cleanly(demo):
     proc = _run(str(demo))
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_core_imports_numpy():
+    # numpy serves the read-only Quiver.b view and ndarray input in core;
+    # every computation elsewhere, the MGS replay included, is plain ints
+    modules = sorted((ROOT / "src" / "quivergreen").glob("*.py"))
+    users = [
+        m.name
+        for m in modules
+        if any(
+            name == "numpy" or name.startswith("numpy.")
+            for name in _imported_modules(m)
+        )
+    ]
+    assert users == ["core.py"]

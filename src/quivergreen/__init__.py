@@ -57,7 +57,6 @@ from .obstructions import (
     decide_mgs,
     describe_obstruction,
     good_vertices,
-    is_mutation_acyclic,
     louise_from_json,
     louise_to_json,
     r_family_trajectory,
@@ -73,6 +72,7 @@ from .exchange import (
     graph_to_dot,
     graph_to_json,
     invariant_report,
+    is_mutation_acyclic,
     psi_component,
 )
 from .io import (

@@ -10,7 +10,8 @@ Quiver inputs are one of:
 
 Exit codes: 0 for definite answers (including a definite "no"), 2 when a
 budget ran out and the answer is unknown or a graph is incomplete, 1 for
-input errors.  Output is deterministic for fixed inputs and budgets.
+input errors, malformed command lines included.  Output is deterministic
+for fixed inputs and budgets.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .exchange import (
     graph_to_dot,
     graph_to_json,
     invariant_report,
+    is_mutation_acyclic,
     psi_component,
 )
 from .green import rotate_mgs, search_mgs, verify_mgs
@@ -37,7 +39,6 @@ from .io import format_arrows, load_quiver, quiver_to_json
 from .obstructions import (
     decide_mgs,
     describe_obstruction,
-    is_mutation_acyclic,
     louise_from_json,
     solve_admissibility,
     verdict_to_json,
@@ -357,58 +358,68 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quivergreen",
         description="quiver mutation, maximal green sequences, exchange graphs",
     )
-    parser.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    parser.add_argument("--out", help="write output to a file instead of stdout")
-    parser.add_argument("--max-len", dest="max_len", type=int, default=None)
-    parser.add_argument("--max-states", dest="max_states", type=int, default=None)
-    parser.add_argument("--max-nodes", dest="max_nodes", type=int, default=DEFAULT_MAX_NODES)
-    parser.add_argument("--max-mult", dest="max_mult", type=int, default=DEFAULT_MAX_MULT)
-    parser.add_argument("--depth", type=int, default=8)
+    # the global options are accepted after the subcommand too; there they
+    # default to SUPPRESS, so they never overwrite a value given before it
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in (
+        ("--format", {"choices": ("text", "json", "dot"), "default": "text"}),
+        ("--out", {"help": "write output to a file instead of stdout"}),
+        ("--max-len", {"type": int}),
+        ("--max-states", {"type": int}),
+        ("--max-nodes", {"type": int, "default": DEFAULT_MAX_NODES}),
+        ("--max-mult", {"type": int, "default": DEFAULT_MAX_MULT}),
+        ("--depth", {"type": int, "default": 8}),
+    ):
+        parser.add_argument(flag, **kwargs)
+        common.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mutate", help="apply mutations and print the result")
+    def add_parser(name, **kwargs):
+        return sub.add_parser(name, parents=[common], **kwargs)
+
+    p = add_parser("mutate", help="apply mutations and print the result")
     p.add_argument("quiver")
     p.add_argument("vertices", type=int, nargs="+")
     p.set_defaults(func=cmd_mutate)
 
-    p = sub.add_parser("mgs", help="find, verify or rotate green sequences")
+    p = add_parser("mgs", help="find, verify or rotate green sequences")
     p.add_argument("action", choices=("find", "verify", "rotate"))
     p.add_argument("quiver")
     p.add_argument("sequence", nargs="?", help="comma-separated vertices")
     p.set_defaults(func=cmd_mgs)
 
-    p = sub.add_parser("decide", help="decide MGS existence with certificates")
+    p = add_parser("decide", help="decide MGS existence with certificates")
     p.add_argument("quiver")
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("admissible", help="solve the cycle-parity sign system")
+    p = add_parser("admissible", help="solve the cycle-parity sign system")
     p.add_argument("quiver")
     p.set_defaults(func=cmd_admissible)
 
-    p = sub.add_parser("mutation-acyclic", help="test for an acyclic class member")
+    p = add_parser("mutation-acyclic", help="test for an acyclic class member")
     p.add_argument("quiver")
     p.set_defaults(func=cmd_mutation_acyclic)
 
-    p = sub.add_parser("graph", help="explore the exchange graph or its MGS part")
+    p = add_parser("graph", help="explore the exchange graph or its MGS part")
     p.add_argument("action", choices=("explore", "psi"))
     p.add_argument("quiver")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("acyclic-count", help="count acyclic classes in the class")
+    p = add_parser("acyclic-count", help="count acyclic classes in the class")
     p.add_argument("quiver")
     p.set_defaults(func=cmd_acyclic_count)
 
-    p = sub.add_parser("invariants", help="mutation-invariant report")
+    p = add_parser("invariants", help="mutation-invariant report")
     p.add_argument("quiver")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("louise", help="verify separating-edge certificates")
+    p = add_parser("louise", help="verify separating-edge certificates")
     p.add_argument("action", choices=("verify",))
     p.add_argument("quiver")
     p.add_argument("certificate", help="path to a certificate JSON file")
     p.set_defaults(func=cmd_louise)
 
-    p = sub.add_parser("catalog", help="list or show bundled quivers")
+    p = add_parser("catalog", help="list or show bundled quivers")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("name", nargs="?")
     p.set_defaults(func=cmd_catalog)
@@ -418,11 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "mgs" and args.action in ("verify", "rotate") and not args.sequence:
-        parser.error("mgs verify/rotate needs a comma-separated sequence")
-    if args.command == "catalog" and args.action == "show" and not args.name:
-        parser.error("catalog show needs a name")
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "mgs" and args.action in ("verify", "rotate") and not args.sequence:
+            parser.error("mgs verify/rotate needs a comma-separated sequence")
+        if args.command == "catalog" and args.action == "show" and not args.name:
+            parser.error("catalog show needs a name")
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code this CLI keeps for
+        # "budget ran out"; --help exits 0
+        return EXIT_INPUT if exc.code else EXIT_OK
     out = Output(args)
     try:
         return args.func(args, out)

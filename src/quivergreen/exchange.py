@@ -2,7 +2,9 @@
 
 Nodes are isomorphism classes of quivers addressed by canonical key; two
 nodes are adjacent when some representatives differ by one mutation.  All
-traversals run in breadth-first layers with key-ordered expansion, so the
+four traversals (``explore``, ``psi_component``, ``enumerate_acyclic`` and
+``is_mutation_acyclic``) share one walk, ``_walk``: breadth-first layers
+with key-ordered expansion, each edge computed from one end only, so the
 resulting graphs, exports and statistics are reproducible byte for byte.
 """
 
@@ -15,6 +17,7 @@ from .canonical import CanonicalKey, canonical_form
 from .core import (
     Quiver,
     _require_budget,
+    _require_int,
     b_matrix_rank,
     is_acyclic,
     mutate,
@@ -26,10 +29,10 @@ from .core import (
 from .errors import QuiverError
 from .green import DEFAULT_MAX_STATES, default_max_len
 from .obstructions import (
+    AdmissibilityResult,
     MgsVerdict,
     Obstruction,
     decide_mgs,
-    is_mutation_acyclic,
     obstruction_to_json,
     solve_admissibility,
 )
@@ -71,52 +74,85 @@ class ExchangeGraph:
         return len(self.nodes)
 
 
-def _canonical_rep(q: Quiver) -> tuple[CanonicalKey, Quiver]:
-    key, sigma = canonical_form(q)
-    return key, relabel(q, sigma)
-
-
-def _neighbours(key: bytes, rep: Quiver, vertices, back: dict[bytes, set[int]]):
-    """Mutate the canonical representative ``rep`` (key ``key``) at each of
-    ``vertices``, skipping those recorded in ``back[key]``, and yield
-    ``(child key, child, canonical witness sigma, back vertex)``, or None
-    for a mutation beyond the multiplicity cap.  Only a caller that keeps
-    the child as a new class needs its representative ``relabel(child,
-    sigma)``, so the relabelling is left to it.
+def _neighbours(rep: Quiver, vertices, skip):
+    """Mutate ``rep`` at each of ``vertices`` not in ``skip`` and yield
+    ``(k, child, child key, canonical witness sigma)``, or ``(k, None, None,
+    None)`` for a mutation beyond the multiplicity cap.
 
     Mutation is an involution that commutes with relabelling: if
     ``mu_k(rep)`` canonicalises with witness ``sigma``, then
     ``mu_{sigma(k)}(relabel(mu_k(rep), sigma)) = relabel(rep, sigma)``.  So
     the back vertex ``sigma[k-1]`` of the child representative mutates back
-    into the class of ``rep``.  A caller that has recorded the edge to the
-    child adds the back vertex to ``back[child key]``, and the child's own
-    expansion then skips it: each edge between two classes is computed from
-    one end only.
+    into the class of ``rep``, and ``_walk`` skips it when it expands the
+    child: each edge between two classes is computed from one end only.
     """
-    skip = back.pop(key, ())
     for k in vertices:
         if k in skip:
             continue
         try:
             child = mutate(rep, k)
         except QuiverError:
-            yield None
+            yield k, None, None, None
             continue
-        ckey, sigma = canonical_form(child)
-        yield ckey, child, sigma, sigma[k - 1]
+        yield (k, child, *canonical_form(child))
 
 
-def _link(
-    graph: ExchangeGraph,
-    back: dict[bytes, set[int]],
-    node: ExchangeNode,
-    ckey: CanonicalKey,
-    vertex: int,
-) -> None:
-    """Record the edge from ``node`` to the class ``ckey`` it mutated into,
-    and the vertex of that class that mutates back (see ``_neighbours``)."""
-    graph.add_edge(ckey.data, node.key.data)
-    back.setdefault(ckey.data, set()).add(vertex)
+def _every_vertex(rep: Quiver):
+    return range(1, rep.n + 1)
+
+
+def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
+    """Breadth-first walk over the isomorphism classes of the mutation class
+    of ``q``, the one traversal behind ``explore``, ``psi_component``,
+    ``enumerate_acyclic`` and ``is_mutation_acyclic``.
+
+    Yields ``(parent, node, k, sigma)``: first the canonical root, with
+    ``parent`` and ``k`` None; then, for each mutation at vertex ``k`` of an
+    expanded node ``parent`` into a class not in ``graph.nodes``, that
+    class's node and the canonical witness ``sigma`` of the mutated quiver;
+    or ``(parent, None, k, None)`` for a mutation beyond the multiplicity
+    cap.  A class's node (canonical representative, acyclicity and layer) is
+    built once, when the class is new, so a class reached again is yielded
+    as the same object.  The caller adopts a node by putting it into
+    ``graph.nodes`` before it resumes the walk; the walk then records the
+    edge and expands the node in the next layer, unless the node is marked
+    truncated, which leaves the graph incomplete.  Layers are expanded in
+    key order, each node at ``vertices(representative)``, and a node skips
+    the vertices known to lead back to a neighbour (see ``_neighbours``).
+    """
+    key, sigma = canonical_form(q)
+    rep = relabel(q, sigma)
+    seen = {key.data: ExchangeNode(key, rep, is_acyclic(rep), 0)}
+    yield None, seen[key.data], None, sigma
+    back: dict[bytes, set[int]] = {}
+    frontier = list(graph.nodes.values())  # the root, once adopted
+    while frontier:
+        frontier.sort(key=lambda n: n.key.data)
+        nxt = []
+        for node in frontier:
+            if node.truncated:
+                graph.complete = False
+                continue
+            skip = back.pop(node.key.data, ())
+            for k, child, ckey, sigma in _neighbours(
+                node.quiver, vertices(node.quiver), skip
+            ):
+                if child is None:
+                    yield node, None, k, None
+                    continue
+                if ckey.data not in graph.nodes:
+                    new = seen.get(ckey.data)
+                    if new is None:
+                        crep = relabel(child, sigma)
+                        new = ExchangeNode(ckey, crep, is_acyclic(crep), node.layer + 1)
+                        seen[ckey.data] = new
+                    yield node, new, k, sigma
+                    if ckey.data not in graph.nodes:
+                        continue
+                    nxt.append(new)
+                graph.add_edge(ckey.data, node.key.data)
+                back.setdefault(ckey.data, set()).add(sigma[k - 1])
+        frontier = nxt
 
 
 def explore(
@@ -129,52 +165,22 @@ def explore(
     A node whose quiver carries a multiplicity above ``max_mult`` is kept but
     marked truncated and never expanded, so infinite classes terminate; the
     graph is flagged incomplete whenever truncation or the node budget cut
-    the search short.  Each edge between two classes is computed from one
-    end only: a node skips the mutations known to lead back to a neighbour
-    that reached it (see ``_neighbours``).
+    the search short.
     """
     max_nodes = _require_budget(max_nodes, "max_nodes")
     max_mult = _require_budget(max_mult, "max_mult")
     graph = ExchangeGraph(meta={"max_nodes": max_nodes, "max_mult": max_mult})
-    key, rep = _canonical_rep(q)
-    root = ExchangeNode(
-        key, rep, is_acyclic(rep), 0, truncated=_over_mult(rep, max_mult)
-    )
-    graph.nodes[key.data] = root
-    back: dict[bytes, set[int]] = {}
-    frontier = [root]
-    while frontier:
-        frontier.sort(key=lambda n: n.key.data)
-        nxt = []
-        for node in frontier:
-            if node.truncated:
-                graph.complete = False
-                continue
-            vertices = range(1, node.quiver.n + 1)
-            for step in _neighbours(node.key.data, node.quiver, vertices, back):
-                if step is None:
-                    # beyond exact integer range: same treatment as max_mult
-                    node.truncated = True
-                    graph.complete = False
-                    continue
-                ckey, child, sigma, vertex = step
-                if ckey.data not in graph.nodes:
-                    if len(graph.nodes) >= max_nodes:
-                        # no node for the child, so no edge to it either
-                        graph.complete = False
-                        continue
-                    crep = relabel(child, sigma)
-                    cnode = ExchangeNode(
-                        ckey,
-                        crep,
-                        is_acyclic(crep),
-                        node.layer + 1,
-                        truncated=_over_mult(crep, max_mult),
-                    )
-                    graph.nodes[ckey.data] = cnode
-                    nxt.append(cnode)
-                _link(graph, back, node, ckey, vertex)
-        frontier = nxt
+    for parent, node, _, _ in _walk(q, graph):
+        if node is None:
+            # beyond exact integer range: same treatment as max_mult
+            parent.truncated = True
+            graph.complete = False
+        elif len(graph.nodes) >= max_nodes:
+            # no node for the child, so no edge to it either
+            graph.complete = False
+        else:
+            node.truncated = _over_mult(node.quiver, max_mult)
+            graph.nodes[node.key.data] = node
     return graph
 
 
@@ -183,29 +189,86 @@ def _over_mult(q: Quiver, max_mult: int) -> bool:
     return max(map(max, q.rows)) > max_mult
 
 
+def _sinks_and_sources(rep: Quiver) -> list[int]:
+    return sorted(set(sources(rep)) | set(sinks(rep)))
+
+
 def enumerate_acyclic(q: Quiver) -> list[Quiver]:
     """All acyclic quivers in the mutation class of an acyclic quiver, up to
     isomorphism: the closure of ``q`` under mutations at sinks and sources.
     Sorted by canonical key."""
     if not is_acyclic(q):
         raise QuiverError("enumerate_acyclic requires an acyclic starting quiver")
-    key, rep = _canonical_rep(q)
-    found = {key.data: rep}
-    back: dict[bytes, set[int]] = {}
-    frontier = [(key.data, rep)]
-    while frontier:
-        nxt = []
-        for cur_key, cur in frontier:
-            vertices = sorted(set(sources(cur)) | set(sinks(cur)))
-            # a sink or source mutation only reverses arrows, never overflows
-            steps = _neighbours(cur_key, cur, vertices, back)
-            for ckey, child, sigma, vertex in steps:
-                back.setdefault(ckey.data, set()).add(vertex)
-                if ckey.data not in found:
-                    crep = found[ckey.data] = relabel(child, sigma)
-                    nxt.append((ckey.data, crep))
-        frontier = nxt
-    return [found[k] for k in sorted(found)]
+    graph = ExchangeGraph()
+    # a sink or source mutation only reverses arrows, never overflows
+    for _, node, _, _ in _walk(q, graph, _sinks_and_sources):
+        graph.nodes[node.key.data] = node
+    return [graph.nodes[k].quiver for k in sorted(graph.nodes)]
+
+
+@dataclass(frozen=True)
+class MutationAcyclicResult:
+    kind: str  # "yes" | "no" | "unknown"
+    sequence: tuple[int, ...] = ()
+    admissibility: Optional[AdmissibilityResult] = None
+    note: str = ""
+
+
+def is_mutation_acyclic(
+    q: Quiver, depth: int = 8, max_quivers: int = 10_000
+) -> MutationAcyclicResult:
+    """Decide mutation-acyclicity where possible.
+
+    An unsatisfiable admissibility system certifies "no" outright (only
+    mutation-acyclic quivers admit an admissible companion).  Otherwise the
+    class walk looks for an acyclic member up to ``depth`` mutations away,
+    expanding at most ``max_quivers`` classes, and a "yes" names a shortest
+    mutation sequence to it in the labels of ``q``.  ``depth`` must be an
+    integer of at least 0 and ``max_quivers`` one of at least 1; both are
+    checked on entry.  A mutation beyond the multiplicity cap leaves its
+    branch unexplored, so the walk then never reports the class as
+    exhausted.
+    """
+    depth = _require_int(depth, "depth")
+    if depth < 0:
+        raise QuiverError(f"depth must be at least 0, got {depth!r}")
+    max_quivers = _require_budget(max_quivers, "max_quivers")
+    adm = solve_admissibility(q)
+    if not adm.satisfiable:
+        return MutationAcyclicResult("no", admissibility=adm)
+    graph = ExchangeGraph()
+    # class key -> (parent key, vertex mutated in the parent's
+    # representative, canonical witness of the mutated quiver)
+    links: dict[bytes, tuple] = {}
+    for parent, node, k, sigma in _walk(q, graph):
+        if node is None:
+            graph.complete = False  # a branch beyond the multiplicity cap
+            continue
+        links[node.key.data] = (parent and parent.key.data, k, sigma)
+        if node.acyclic:
+            return MutationAcyclicResult("yes", _input_sequence(links, node.key.data))
+        node.truncated = node.layer >= depth or len(graph.nodes) >= max_quivers
+        graph.nodes[node.key.data] = node
+    note = "class exhausted without an acyclic member" if graph.complete else "budget reached"
+    return MutationAcyclicResult("unknown", admissibility=adm, note=note)
+
+
+def _input_sequence(links: dict[bytes, tuple], key: bytes) -> tuple[int, ...]:
+    """The mutations from the root to the class ``key``, in the labels of the
+    walk's input quiver.  The root representative is the input relabelled by
+    the root's witness ``perm``; a step at vertex ``k`` of a representative
+    is the step at ``perm⁻¹(k)`` of the input's current image, after which
+    the step's witness composes onto ``perm``."""
+    steps = []
+    while key is not None:
+        key, k, sigma = links[key]
+        steps.append((k, sigma))
+    (_, perm), *steps = reversed(steps)
+    sequence = []
+    for k, sigma in steps:
+        sequence.append(perm.index(k) + 1)
+        perm = tuple(sigma[p - 1] for p in perm)
+    return tuple(sequence)
 
 
 @dataclass
@@ -241,66 +304,45 @@ def psi_component(
 
     Neighbours with an MGS are expanded; neighbours with an obstruction form
     the boundary and are never expanded; an "unknown" verdict anywhere marks
-    the result incomplete rather than guessing.  ``max_len`` and
+    the result incomplete rather than guessing.  Each class is decided once
+    per call, however many members reach it.  ``max_len`` and
     ``max_states`` are checked by the first ``decide_mgs`` call, before any
-    neighbour is visited.  As in ``explore``, each edge between two members
-    is computed from one end only.
+    neighbour is visited.
     """
     if max_len is None:
         max_len = default_max_len(q.n) + q.n  # component members vary in girth
     if max_states is None:
         max_states = DEFAULT_MAX_STATES
     max_nodes = _require_budget(max_nodes, "max_nodes")
-    key, rep = _canonical_rep(q)
-    start = decide_mgs(rep, max_len, max_states)
-    if not start.yes:
-        raise QuiverError(
-            "psi_component requires a starting quiver with a maximal green sequence"
-        )
     graph = ExchangeGraph(
         meta={"max_len": max_len, "max_states": max_states, "max_nodes": max_nodes}
     )
-    root = ExchangeNode(key, rep, is_acyclic(rep), 0, mgs=start)
-    graph.nodes[key.data] = root
     boundary: dict[bytes, BoundaryEntry] = {}
-    back: dict[bytes, set[int]] = {}
     unresolved = 0
-    frontier = [root]
-    while frontier:
-        frontier.sort(key=lambda n: n.key.data)
-        nxt = []
-        for node in frontier:
-            vertices = range(1, node.quiver.n + 1)
-            for step in _neighbours(node.key.data, node.quiver, vertices, back):
-                if step is None:
-                    unresolved += 1  # neighbour beyond exact integer range
-                    continue
-                ckey, child, sigma, vertex = step
-                if ckey.data in boundary:
-                    boundary[ckey.data].members.add(node.key.data)
-                    continue
-                if ckey.data not in graph.nodes:
-                    if len(graph.nodes) >= max_nodes:
-                        graph.complete = False
-                        unresolved += 1
-                        continue
-                    crep = relabel(child, sigma)
-                    verdict = decide_mgs(crep, max_len, max_states)
-                    if verdict.no:
-                        boundary[ckey.data] = BoundaryEntry(
-                            ckey, crep, verdict.obstruction, {node.key.data}
-                        )
-                        continue
-                    if not verdict.yes:
-                        unresolved += 1
-                        continue
-                    cnode = ExchangeNode(
-                        ckey, crep, is_acyclic(crep), node.layer + 1, mgs=verdict
-                    )
-                    graph.nodes[ckey.data] = cnode
-                    nxt.append(cnode)
-                _link(graph, back, node, ckey, vertex)
-        frontier = nxt
+    for parent, node, _, _ in _walk(q, graph):
+        if node is None:
+            unresolved += 1  # neighbour beyond exact integer range
+        elif node.key.data in boundary:
+            boundary[node.key.data].members.add(parent.key.data)
+        elif len(graph.nodes) >= max_nodes:
+            graph.complete = False
+            unresolved += 1
+        else:
+            if node.mgs is None:
+                node.mgs = decide_mgs(node.quiver, max_len, max_states)
+            verdict = node.mgs
+            if parent is None and not verdict.yes:
+                raise QuiverError(
+                    "psi_component requires a starting quiver with a maximal green sequence"
+                )
+            if verdict.yes:
+                graph.nodes[node.key.data] = node
+            elif verdict.no:
+                boundary[node.key.data] = BoundaryEntry(
+                    node.key, node.quiver, verdict.obstruction, {parent.key.data}
+                )
+            else:
+                unresolved += 1
     complete = graph.complete and unresolved == 0
     entries = [boundary[k] for k in sorted(boundary)]
     return PsiResult(graph, entries, complete)

@@ -7,8 +7,6 @@ The pieces:
   chordless cycle (oriented cycles need an odd number of ``+`` edges,
   non-oriented an even number), solved by elimination with a minimal
   inconsistent-cycle witness on failure;
-* mutation-acyclicity testing (an unsatisfiable admissibility system rules it
-  out; otherwise a bounded class search looks for an acyclic member);
 * good-vertex analysis and the closed-form good-sequence trajectory of the
   rank-4 triangle-plus-apex family, whose parameters grow forever and
   therefore forbid a maximal green sequence;
@@ -25,13 +23,12 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Optional, Union
 
-from .canonical import are_isomorphic, canonical_key
+from .canonical import are_isomorphic
 from .core import (
     Quiver,
     Rank3Params,
     RFamilyParams,
     _require_budget,
-    _require_int,
     find_direct_sum,
     find_ending_kcycle,
     induced_cycles,
@@ -180,81 +177,6 @@ def flip_vertex_signs(
         (edge, -s if v in edge else s) for edge, s in assignment.signs
     )
     return CompanionAssignment(signs)
-
-
-# ---------------------------------------------------------------------------
-# mutation-acyclicity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MutationAcyclicResult:
-    kind: str  # "yes" | "no" | "unknown"
-    sequence: tuple[int, ...] = ()
-    admissibility: Optional[AdmissibilityResult] = None
-    note: str = ""
-
-
-def is_mutation_acyclic(
-    q: Quiver, depth: int = 8, max_quivers: int = 10_000
-) -> MutationAcyclicResult:
-    """Decide mutation-acyclicity where possible.
-
-    An unsatisfiable admissibility system certifies "no" outright (only
-    mutation-acyclic quivers admit an admissible companion).  Otherwise a
-    breadth-first scan over isomorphism classes up to ``depth`` mutations
-    looks for an acyclic member.  ``depth`` must be an integer of at least 0
-    and ``max_quivers`` one of at least 1; both are checked on entry.  A
-    mutation beyond the multiplicity cap leaves its branch unexplored, so
-    the scan then never reports the class as exhausted.
-    """
-    depth = _require_int(depth, "depth")
-    if depth < 0:
-        raise QuiverError(f"depth must be at least 0, got {depth!r}")
-    max_quivers = _require_budget(max_quivers, "max_quivers")
-    adm = solve_admissibility(q)
-    if not adm.satisfiable:
-        return MutationAcyclicResult("no", admissibility=adm)
-    if is_acyclic(q):
-        return MutationAcyclicResult("yes", sequence=())
-    seen = {canonical_key(q).data}
-    frontier = [(q, ())]
-    count = 1
-    exhausted = True
-    for _ in range(depth):
-        nxt = []
-        for cur, seq in frontier:
-            for k in range(1, cur.n + 1):
-                if seq and k == seq[-1]:
-                    continue  # mutation is an involution: this is the parent
-                try:
-                    child = mutate(cur, k)
-                except QuiverError:  # beyond the multiplicity cap
-                    exhausted = False
-                    continue
-                key = canonical_key(child).data
-                if key in seen:
-                    continue
-                seen.add(key)
-                count += 1
-                if is_acyclic(child):
-                    return MutationAcyclicResult("yes", sequence=seq + (k,))
-                if count <= max_quivers:
-                    nxt.append((child, seq + (k,)))
-                else:
-                    exhausted = False
-        if not nxt:
-            if exhausted:
-                return MutationAcyclicResult(
-                    "unknown",
-                    admissibility=adm,
-                    note="class exhausted without an acyclic member",
-                )
-            break
-        frontier = nxt
-    return MutationAcyclicResult(
-        "unknown", admissibility=adm, note="budget reached"
-    )
 
 
 # ---------------------------------------------------------------------------

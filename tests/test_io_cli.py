@@ -373,3 +373,53 @@ def test_cli_mutation_acyclic_past_the_multiplicity_cap_is_unknown(tmp_path, cap
     code, out, err = run_cli(capsys, "invariants", str(path))
     assert code == 0 and "mutation-acyclic: unknown" in out
     assert "error" not in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_cli_readme_example_with_options_after_the_subcommand(
+    capsys, tmp_path, monkeypatch
+):
+    line = next(
+        ln for ln in README.read_text().splitlines() if "--out psi.gv" in ln
+    )
+    assert line.startswith("quivergreen --format dot graph psi")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *line.split()[1:])
+    assert (code, out, err) == (0, "", "")
+    code, expected, _ = run_cli(capsys, "--format", "dot", "graph", "psi", "catalog:K4")
+    assert code == 0 and (tmp_path / "psi.gv").read_text() == expected
+    # a global option after the subcommand keeps the ones given before it,
+    # and overrides the same option given before it
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "--max-nodes", "3", "graph", "explore",
+        "catalog:K4", "--max-nodes", "5",
+    )
+    assert code == 2 and len(json.loads(out)["nodes"]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--max-len", "abc", "decide", "catalog:K4"),
+        ("decide", "catalog:K4", "--max-len", "abc"),
+        ("--no-such-option", "decide", "catalog:K4"),
+        ("decide", "catalog:K4", "--no-such-option"),
+        ("mgs", "verify", "catalog:K4"),
+        ("catalog", "show"),
+        ("no-such-command",),
+        (),
+    ],
+)
+def test_cli_usage_error_is_an_input_error(capsys, argv):
+    # exit 2 means "a budget ran out"; a malformed command line is bad input
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("graph", "--help")])
+def test_cli_help_exits_zero(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("usage: quivergreen")

@@ -16,6 +16,7 @@ from quivergreen.core import (
     relabel,
 )
 from quivergreen.errors import CapabilityError, CertificateError, QuiverError
+from quivergreen.exchange import is_mutation_acyclic
 from quivergreen.green import verify_mgs
 from quivergreen.obstructions import (
     CatalogNoMgsObstruction,
@@ -27,7 +28,6 @@ from quivergreen.obstructions import (
     describe_obstruction,
     flip_vertex_signs,
     good_vertices,
-    is_mutation_acyclic,
     louise_from_json,
     louise_to_json,
     match_r_family,
@@ -526,12 +526,12 @@ def test_louise_from_json_rejects_bool_and_string_edge():
 def test_is_mutation_acyclic_rejects_bad_budgets_on_entry(
     monkeypatch, depth, max_quivers, message
 ):
-    import quivergreen.obstructions as obstructions
+    import quivergreen.exchange as exchange
 
     def unreachable(q):
         raise AssertionError("budgets are checked before the admissibility test")
 
-    monkeypatch.setattr(obstructions, "solve_admissibility", unreachable)
+    monkeypatch.setattr(exchange, "solve_admissibility", unreachable)
     with pytest.raises(QuiverError, match=message):
         is_mutation_acyclic(make_rank3(1, 1, 1), depth, max_quivers)
     # depth 0 is a legitimate budget: no mutation at all

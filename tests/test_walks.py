@@ -2,7 +2,8 @@
 checked against the loops that mutate and canonicalise every (node, vertex)
 pair: ``explore``, ``psi_component``, ``enumerate_acyclic`` and
 ``is_mutation_acyclic`` must give the same results, and ``acyclic_mgs`` the
-same sequence as the framed walk it replaced."""
+same sequence as the framed walk it replaced.  All four share one class
+walk; ``is_mutation_acyclic`` may name a different shortest sequence."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 import oracles
 import quivergreen.exchange as exchange
 from quivergreen import catalog
-from quivergreen.core import Quiver
+from quivergreen.canonical import canonical_key
+from quivergreen.core import Quiver, is_acyclic, mutate_sequence
 from quivergreen.errors import QuiverError
 from quivergreen.exchange import (
     DEFAULT_MAX_MULT,
@@ -18,10 +20,10 @@ from quivergreen.exchange import (
     explore,
     graph_to_dot,
     graph_to_json,
+    is_mutation_acyclic,
     psi_component,
 )
 from quivergreen.green import acyclic_mgs
-from quivergreen.obstructions import is_mutation_acyclic
 
 from oracles import (
     acyclic_mgs_reference,
@@ -146,6 +148,48 @@ def test_is_mutation_acyclic_matches_the_every_pair_walk():
     assert len(kinds) >= 3
 
 
+def test_is_mutation_acyclic_yes_sequences_replay_in_the_input_labels():
+    # the walk carries the path as parent links between canonical
+    # representatives and translates it into the input's labels; with a
+    # class budget that does not bind, it is as short as the reference's
+    rng = np.random.default_rng(16)
+    lengths, differs = set(), 0
+    for i in range(60):
+        n = int(rng.integers(3, 7))
+        if i % 2:
+            q = random_quiver(rng, n, 2)
+        else:  # a mutation-acyclic quiver a few steps from an acyclic one
+            start = random_acyclic_quiver(rng, n, 2)
+            q = mutate_sequence(start, [int(k) for k in rng.integers(1, n + 1, 4)])
+        got = is_mutation_acyclic(q, 5, 10**5)
+        ref = is_mutation_acyclic_reference(q, 5, 10**5)
+        assert (got.kind, got.note) == (ref.kind, ref.note)
+        if got.kind == "yes":
+            assert is_acyclic(mutate_sequence(q, got.sequence))
+            assert len(got.sequence) == len(ref.sequence)
+            lengths.add(len(got.sequence))
+            differs += got.sequence != ref.sequence
+    assert lengths == {0, 1, 2, 3} and differs > 0
+
+
+def test_psi_component_decides_each_class_once(monkeypatch):
+    # an "unknown" class reached from several members is not decided again
+    decided = []
+    decide = exchange.decide_mgs
+
+    def recording(q, *args):
+        decided.append(canonical_key(q).data)
+        return decide(q, *args)
+
+    monkeypatch.setattr(exchange, "decide_mgs", recording)
+    k4 = catalog.get("K4").quiver
+    got = psi_component(k4, max_states=40, max_nodes=200)
+    assert len(decided) == len(set(decided)) == 28
+    assert not got.complete
+    ref = psi_component_reference(k4, max_states=40, max_nodes=200)
+    _assert_same_graph(got.graph, ref.graph, got.boundary, ref.boundary)
+
+
 def test_acyclic_mgs_is_the_least_topological_order():
     rng = np.random.default_rng(15)
     for _ in range(300):
@@ -211,25 +255,23 @@ RANK4_BUDGET = Quiver([[0, -2, 2, 1], [2, 0, -1, -2], [-2, 1, 0, 1], [-1, 2, -1,
     "q, depth, max_quivers, expected, expected_reference",
     [
         (catalog.get("X7").quiver, 8, 10_000, 13, 14),
-        (RANK4_BUDGET, 3, 200, 52, 68),
+        (RANK4_BUDGET, 3, 200, 49, 68),
     ],
     ids=["X7-exhausted", "rank4-budget"],
 )
 def test_is_mutation_acyclic_mutate_calls_pinned(
     monkeypatch, q, depth, max_quivers, expected, expected_reference
 ):
-    # every path but the root's skips its last vertex, which leads back to
-    # the exact parent
-    import quivergreen.obstructions as obstructions
-
+    # the class walk computes each edge between two classes from one end
+    # only; the reference skips just the mutation back to the exact parent
     calls = [0]
-    mutate = obstructions.mutate
+    mutate = exchange.mutate
 
     def counting(q, k):
         calls[0] += 1
         return mutate(q, k)
 
-    monkeypatch.setattr(obstructions, "mutate", counting)
+    monkeypatch.setattr(exchange, "mutate", counting)
     monkeypatch.setattr(oracles, "mutate", counting)
     got = is_mutation_acyclic(q, depth, max_quivers)
     assert calls[0] == expected

@@ -15,6 +15,17 @@ partials that use the same vertex set, so it turns the factorial search into
 one over vertex subsets: on a highly symmetric quiver it still visits about
 2^n partials (the arrowless quiver on 12 vertices, the cap, takes about
 0.1 s), while a quiver with few symmetries keeps only a handful per level.
+
+Deciding whether two given quivers are isomorphic needs no canonical form.
+``are_isomorphic`` and ``ClassIndex`` match one quiver onto another after one
+round of colour refinement, the first step of McKay and Piperno, "Practical
+graph isomorphism II" (J. Symbolic Comput. 2014): a vertex's colour combines
+its sorted row with its neighbours' sorted rows, weighted by the arrows to
+them.  Vertices whose colour is unique are mapped directly; the rest are
+matched by backtracking within their colour classes.  Every map is checked
+entry by entry before it is returned, so no answer rests on the colouring.
+The exchange-graph walk keeps a ``ClassIndex`` of the classes it has adopted
+and canonicalises only children that match none of them.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import hashlib
 from array import array
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 from typing import Optional
 
 from .core import Quiver, _take
@@ -118,20 +130,161 @@ def canonical_key(q: Quiver) -> CanonicalKey:
     return canonical_form(q)[0]
 
 
+def _degrees(rows) -> list[int]:
+    """A hash of each vertex's sorted row, its arrow multiset signed by
+    direction."""
+    return [hash(tuple(sorted(row))) for row in rows]
+
+
+def _colours(rows, degrees) -> list[int]:
+    """One round of colour refinement on top of ``degrees``: a vertex's
+    colour adds the sum of ``b_ij * degrees[j]`` over its neighbours ``j``.
+    An isomorphism maps each vertex to one of the same colour.  Colours that
+    coincide without that, by a hash collision or because two neighbourhoods
+    have the same weighted sum, only make a larger class for the
+    backtracking; the sum is cheaper than sorting each neighbourhood."""
+    return [hash((d, sum(map(mul, row, degrees)))) for d, row in zip(degrees, rows)]
+
+
+def _classes(colours) -> dict:
+    """Colour -> the vertices (0-based, ascending) of that colour."""
+    classes: dict = {}
+    for v, colour in enumerate(colours):
+        classes.setdefault(colour, []).append(v)
+    return classes
+
+
+def _isomorphism(rows, classes, target_rows, target_classes):
+    """A permutation ``sigma`` (1-indexed) with ``relabel(q, sigma)`` equal to
+    the target, where ``rows`` and ``classes`` are ``q``'s matrix and colour
+    classes and ``target_rows`` and ``target_classes`` the target's; or None
+    when the two are not isomorphic."""
+    if len(classes) != len(target_classes):
+        return None
+    n = len(rows)
+    image: list = [None] * n
+    todo = []  # (vertex, candidate images) for colours shared by several vertices
+    for colour, vs in classes.items():
+        ws = target_classes.get(colour)
+        if ws is None or len(ws) != len(vs):
+            return None
+        if len(vs) == 1:
+            image[vs[0]] = ws[0]
+        else:
+            todo.extend((v, ws) for v in vs)
+    if todo and not _backtrack(rows, target_rows, image, _adjacent_first(rows, todo)):
+        return None
+    inverse = [0] * n
+    for v, w in enumerate(image):
+        inverse[w] = v
+    if _take(rows, inverse) != target_rows:
+        return None
+    return tuple(w + 1 for w in image)
+
+
+def _adjacent_first(rows, todo):
+    """``todo`` reordered breadth-first, so that each vertex but the first
+    of its component comes after a neighbour: a wrong image is then refuted
+    as soon as one neighbour is placed."""
+    rest = dict(todo)
+    ordered = []
+    for start, _ in todo:
+        if start not in rest:
+            continue
+        i = len(ordered)
+        ordered.append((start, rest.pop(start)))
+        while i < len(ordered):
+            row = rows[ordered[i][0]]
+            i += 1
+            for u in [u for u in rest if row[u]]:
+                ordered.append((u, rest.pop(u)))
+    return ordered
+
+
+def _backtrack(rows, target_rows, image, todo) -> bool:
+    """Extend ``image`` to the vertices of ``todo`` so that every entry
+    between a newly placed vertex and any placed vertex agrees with the
+    target (skew-symmetry covers the transposed entry).  Entries between
+    the vertices placed beforehand are left to the caller's check."""
+    placed = [v for v, w in enumerate(image) if w is not None]
+    used = set(image[v] for v in placed)
+
+    def place(i: int) -> bool:
+        if i == len(todo):
+            return True
+        v, ws = todo[i]
+        row = rows[v]
+        for w in ws:
+            if w in used:
+                continue
+            trow = target_rows[w]
+            for u in placed:
+                if row[u] != trow[image[u]]:
+                    break
+            else:
+                image[v] = w
+                used.add(w)
+                placed.append(v)
+                if place(i + 1):
+                    return True
+                placed.pop()
+                used.discard(w)
+        image[v] = None
+        return False
+
+    return place(0)
+
+
+class ClassIndex:
+    """Isomorphism classes with known keys, each held by a representative
+    and bucketed by the multiset of its sorted rows, so that a quiver in one
+    of them gets that class's key and a verified witness without a
+    canonical form."""
+
+    def __init__(self):
+        self._buckets: dict[tuple, list] = {}
+
+    def add(self, key: CanonicalKey, rep: Quiver) -> None:
+        # the colour classes are computed when a quiver first lands in the
+        # bucket, since many held classes are never matched
+        entry = [key, rep.rows, None]
+        self._buckets.setdefault(tuple(sorted(_degrees(rep.rows))), []).append(entry)
+
+    def find(self, q: Quiver) -> Optional[tuple[CanonicalKey, tuple[int, ...]]]:
+        """``(key, sigma)`` for the class of ``q`` with ``relabel(q, sigma)``
+        equal to its representative, or None if no held class matches."""
+        degrees = _degrees(q.rows)
+        bucket = self._buckets.get(tuple(sorted(degrees)))
+        if bucket is None:
+            return None
+        classes = _classes(_colours(q.rows, degrees))
+        for entry in bucket:
+            key, rows, target_classes = entry
+            if target_classes is None:
+                target_classes = entry[2] = _classes(_colours(rows, _degrees(rows)))
+            sigma = _isomorphism(q.rows, classes, rows, target_classes)
+            if sigma is not None:
+                return key, sigma
+        return None
+
+
 def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
     """A permutation ``sigma`` with ``b2[s(i)][s(j)] = b1[i][j]``, or None.
 
-    Built from the two canonical witnesses: if both quivers reduce to the same
-    canonical matrix, composing one witness with the inverse of the other
-    maps the first quiver onto the second.
+    Supported up to the canonical-form cap of 12 vertices.
     """
     if q1.n != q2.n:
         return None
-    key1, s1 = canonical_form(q1)
-    key2, s2 = canonical_form(q2)
-    if key1 != key2:
+    if q1.n > MAX_CANONICAL_N:
+        raise CapabilityError(
+            f"isomorphism test supported up to {MAX_CANONICAL_N} vertices, got {q1.n}"
+        )
+    degrees1, degrees2 = _degrees(q1.rows), _degrees(q2.rows)
+    if sorted(degrees1) != sorted(degrees2):
         return None
-    inv2 = [0] * q2.n
-    for i, s in enumerate(s2):
-        inv2[s - 1] = i + 1
-    return tuple(inv2[s1[i] - 1] for i in range(q1.n))
+    return _isomorphism(
+        q1.rows,
+        _classes(_colours(q1.rows, degrees1)),
+        q2.rows,
+        _classes(_colours(q2.rows, degrees2)),
+    )

@@ -6,6 +6,11 @@ four traversals (``explore``, ``psi_component``, ``enumerate_acyclic`` and
 ``is_mutation_acyclic``) share one walk, ``_walk``: breadth-first layers
 with key-ordered expansion, each edge computed from one end only, so the
 resulting graphs, exports and statistics are reproducible byte for byte.
+A child in a class the walk has already adopted is matched to that class's
+representative by a verified isomorphism (``canonical.ClassIndex``); only
+the root and children outside the adopted classes are canonicalised.  Any
+isomorphism onto the representative names a valid vertex back to the
+parent's class, so the choice of witness changes no output.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .canonical import CanonicalKey, canonical_form
+from .canonical import CanonicalKey, ClassIndex, canonical_form
 from .core import (
     Quiver,
     _require_budget,
@@ -74,17 +79,21 @@ class ExchangeGraph:
         return len(self.nodes)
 
 
-def _neighbours(rep: Quiver, vertices, skip):
+def _neighbours(rep: Quiver, vertices, skip, known: ClassIndex):
     """Mutate ``rep`` at each of ``vertices`` not in ``skip`` and yield
-    ``(k, child, child key, canonical witness sigma)``, or ``(k, None, None,
-    None)`` for a mutation beyond the multiplicity cap.
+    ``(k, child, child key, witness sigma)``, or ``(k, None, None, None)``
+    for a mutation beyond the multiplicity cap.  ``relabel(child, sigma)``
+    is the class's canonical representative: for a class in ``known``,
+    ``sigma`` is a verified isomorphism onto the held representative; for
+    any other class, it is the canonical witness.
 
     Mutation is an involution that commutes with relabelling: if
-    ``mu_k(rep)`` canonicalises with witness ``sigma``, then
-    ``mu_{sigma(k)}(relabel(mu_k(rep), sigma)) = relabel(rep, sigma)``.  So
-    the back vertex ``sigma[k-1]`` of the child representative mutates back
-    into the class of ``rep``, and ``_walk`` skips it when it expands the
-    child: each edge between two classes is computed from one end only.
+    ``relabel(mu_k(rep), sigma)`` is the child's representative, then
+    ``mu_{sigma(k)}`` of that representative is ``relabel(rep, sigma)``.  So
+    for any such witness the back vertex ``sigma[k-1]`` of the child
+    representative mutates back into the class of ``rep``, and ``_walk``
+    skips it when it expands the child: each edge between two classes is
+    computed from one end only.
     """
     for k in vertices:
         if k in skip:
@@ -94,7 +103,7 @@ def _neighbours(rep: Quiver, vertices, skip):
         except QuiverError:
             yield k, None, None, None
             continue
-        yield (k, child, *canonical_form(child))
+        yield (k, child, *(known.find(child) or canonical_form(child)))
 
 
 def _every_vertex(rep: Quiver):
@@ -119,6 +128,9 @@ def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
     truncated, which leaves the graph incomplete.  Layers are expanded in
     key order, each node at ``vertices(representative)``, and a node skips
     the vertices known to lead back to a neighbour (see ``_neighbours``).
+    A child in an adopted class is never yielded, so the walk matches it to
+    the adopted representative instead of canonicalising it: any witness
+    onto the representative gives a valid back vertex.
     """
     key, sigma = canonical_form(q)
     rep = relabel(q, sigma)
@@ -126,6 +138,9 @@ def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
     yield None, seen[key.data], None, sigma
     back: dict[bytes, set[int]] = {}
     frontier = list(graph.nodes.values())  # the root, once adopted
+    known = ClassIndex()  # the adopted classes, graph.nodes
+    for node in frontier:
+        known.add(node.key, node.quiver)
     while frontier:
         frontier.sort(key=lambda n: n.key.data)
         nxt = []
@@ -135,7 +150,7 @@ def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
                 continue
             skip = back.pop(node.key.data, ())
             for k, child, ckey, sigma in _neighbours(
-                node.quiver, vertices(node.quiver), skip
+                node.quiver, vertices(node.quiver), skip, known
             ):
                 if child is None:
                     yield node, None, k, None
@@ -149,6 +164,7 @@ def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
                     yield node, new, k, sigma
                     if ckey.data not in graph.nodes:
                         continue
+                    known.add(ckey, new.quiver)
                     nxt.append(new)
                 graph.add_edge(ckey.data, node.key.data)
                 back.setdefault(ckey.data, set()).add(sigma[k - 1])

@@ -107,9 +107,10 @@ def _frame_rows(q: Quiver) -> tuple[tuple[int, ...], ...]:
     """Top ``n`` rows ``B | C`` of the initial framed matrix: ``q``'s rows
     followed by the identity."""
     n = q.n
-    return tuple(
-        row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(q.rows)
-    )
+    # identity row i is the width-n window of ``unit`` that starts i places
+    # before its 1
+    unit = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+    return tuple(row + unit[n - 1 - i : 2 * n - 1 - i] for i, row in enumerate(q.rows))
 
 
 def frame(q: Quiver) -> FramedQuiver:

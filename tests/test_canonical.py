@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from quivergreen.canonical import are_isomorphic, canonical_form, canonical_key
+import quivergreen.canonical as canonical
+from quivergreen.canonical import (
+    ClassIndex,
+    are_isomorphic,
+    canonical_form,
+    canonical_key,
+)
 from quivergreen.catalog import make_rank3, make_theta
 from quivergreen.core import Quiver, mutate, opposite, relabel
 from quivergreen.errors import CapabilityError
@@ -165,3 +171,92 @@ def test_key_serializes_to_hex():
     key = canonical_key(make_theta(4))
     assert key.hex() == key.data.hex()
     assert len(key.short()) == 12
+
+
+def _random_perm(rng, n):
+    return [int(v) + 1 for v in rng.permutation(n)]
+
+
+def test_matcher_finds_a_verified_map_onto_a_relabelled_copy():
+    rng = np.random.default_rng(49)
+    for n in range(1, 11):
+        for _ in range(20):
+            q = random_quiver(rng, n, int(rng.integers(1, 3)))
+            target = relabel(q, _random_perm(rng, n))
+            sigma = are_isomorphic(q, target)
+            assert sigma is not None and relabel(q, sigma) == target
+            index = ClassIndex()
+            key = canonical_key(target)
+            index.add(key, target)
+            found_key, sigma = index.find(q)
+            assert found_key == key and relabel(q, sigma) == target
+
+
+def _sparse_quiver(rng, n):
+    b = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i, j] = rng.choice([-1, 0, 0, 1])
+            b[j, i] = -b[i, j]
+    return Quiver(b)
+
+
+def test_matcher_is_none_exactly_when_keys_differ():
+    # sparse quivers of few vertices often share degrees and colours
+    # without being isomorphic
+    rng = np.random.default_rng(50)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 8))
+        q1, q2 = _sparse_quiver(rng, n), _sparse_quiver(rng, n)
+        sigma = are_isomorphic(q1, q2)
+        same = canonical_key(q1) == canonical_key(q2)
+        assert (sigma is not None) == same
+        if same:
+            assert relabel(q1, sigma) == q2
+        index = ClassIndex()
+        index.add(canonical_key(q2), q2)
+        assert (index.find(q1) is not None) == same
+        outcomes.add(same)
+    assert outcomes == {True, False}
+
+
+def _refined(q):
+    colours = canonical._colours(q.rows, canonical._degrees(q.rows))
+    return sorted(colours)
+
+
+def _circulant(n, steps):
+    return Quiver.from_arrows(
+        n, [(i + 1, (i + s) % n + 1) for i in range(n) for s in steps]
+    )
+
+
+@pytest.mark.parametrize(
+    "q1, q2, isomorphic",
+    [
+        # an oriented 6-cycle against two oriented 3-cycles
+        (
+            _circulant(6, (1,)),
+            _disjoint_union(*[(3, [(1, 2), (2, 3), (3, 1)])] * 2),
+            False,
+        ),
+        # the quadratic-residue and the {1, 2, 3} circulant regular
+        # tournaments on 7 vertices
+        (_circulant(7, (1, 2, 4)), _circulant(7, (1, 2, 3)), False),
+        (Quiver(np.zeros((12, 12), dtype=int)), Quiver(np.zeros((12, 12), dtype=int)), True),
+    ],
+    ids=["6-cycle-vs-two-3-cycles", "regular-tournaments-7", "arrowless-12"],
+)
+def test_matcher_backtracks_where_refinement_ties(q1, q2, isomorphic):
+    # one round of refinement gives every vertex of both quivers one colour,
+    # so only the backtracking can tell them apart
+    assert len(set(_refined(q1))) == 1 and _refined(q1) == _refined(q2)
+    assert (canonical_key(q1) == canonical_key(q2)) == isomorphic
+    rng = np.random.default_rng(51)
+    for target in (q2, relabel(q2, _random_perm(rng, q2.n))):
+        for a, b in ((q1, target), (target, q1)):
+            sigma = are_isomorphic(a, b)
+            assert (sigma is not None) == isomorphic
+            if isomorphic:
+                assert relabel(a, sigma) == b

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+import quivergreen.canonical as canonical
 import quivergreen.exchange as exchange
 from quivergreen import catalog
 from quivergreen.canonical import canonical_key
@@ -220,18 +221,18 @@ def form_calls(monkeypatch):
 @pytest.mark.parametrize(
     "run, reference, expected, expected_reference",
     [
-        (lambda: explore(D6), lambda: explore_reference(D6), 271, 481),
-        (lambda: explore(E6), lambda: explore_reference(E6), 217, 403),
+        (lambda: explore(D6), lambda: explore_reference(D6), 80, 481),
+        (lambda: explore(E6), lambda: explore_reference(E6), 67, 403),
         (
             lambda: psi_component(catalog.get("K4").quiver),
             lambda: psi_component_reference(catalog.get("K4").quiver),
-            43,
+            29,
             69,
         ),
         (
             lambda: enumerate_acyclic(D6),
             lambda: enumerate_acyclic_reference(D6),
-            61,
+            24,
             105,
         ),
     ],
@@ -246,6 +247,35 @@ def test_canonical_form_calls_pinned(
     form_calls[0] = 0
     reference()
     assert form_calls[0] == expected_reference
+
+
+def _path_union(*lengths):
+    """Disjoint union of oriented type-A paths with the given vertex counts."""
+    arrows, offset = [], 0
+    for length in lengths:
+        arrows += [(offset + i, offset + i + 1) for i in range(1, length)]
+        offset += length
+    return Quiver.from_arrows(offset, arrows)
+
+
+@pytest.mark.parametrize("lengths", [(3, 3, 3), (3, 3, 4)], ids=["3xA_3", "2xA_3+A_4"])
+def test_explore_on_symmetric_unions_matches_the_every_pair_walk(lengths):
+    # children of known classes are matched by backtracking among many
+    # same-coloured vertices
+    q = _path_union(*lengths)
+    _assert_same_graph(explore(q), explore_reference(q))
+
+
+@pytest.mark.parametrize("q, classes", [(D6, 80), (E6, 67)], ids=["D6", "E6"])
+def test_explore_with_constant_colours_matches_the_every_pair_walk(
+    monkeypatch, form_calls, q, classes
+):
+    # with no colour to tell vertices apart, every match is found by
+    # backtracking alone, and still only new classes are canonicalised
+    monkeypatch.setattr(canonical, "_colours", lambda rows, degrees: [0] * len(rows))
+    got = explore(q)
+    assert form_calls[0] == len(got) == classes
+    _assert_same_graph(got, explore_reference(q))
 
 
 RANK4_BUDGET = Quiver([[0, -2, 2, 1], [2, 0, -1, -2], [-2, 1, 0, 1], [-1, 2, -1, 0]])

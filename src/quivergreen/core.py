@@ -13,6 +13,7 @@ package imports it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, neg
@@ -391,23 +392,31 @@ def sinks(q: Quiver) -> tuple[int, ...]:
     return tuple(i + 1 for i, row in enumerate(q.rows) if max(row) == 0)
 
 
-def is_acyclic(q: Quiver) -> bool:
-    """True iff the arrow digraph has no directed cycle: Kahn's algorithm
-    removes every vertex exactly then."""
-    rows = q.rows
-    # b[v][j] < 0 for each arrow j -> v
+def _least_topological_order(rows) -> Optional[list[int]]:
+    """The least topological order of the arrow digraph of the square matrix
+    ``rows`` (0-based vertices; at each step the least vertex that no
+    unlisted vertex has an arrow to), or None when the digraph has a
+    directed cycle.  Kahn's algorithm with a min-heap: it lists every vertex
+    exactly when there is no cycle."""
+    # b[v][w] < 0 for each arrow w -> v
     indegree = [sum(1 for x in row if x < 0) for row in rows]
-    ready = [v for v, d in enumerate(indegree) if d == 0]
-    removed = 0
+    ready = [v for v, d in enumerate(indegree) if d == 0]  # ascending: a heap
+    order = []
     while ready:
-        v = ready.pop()
-        removed += 1
+        v = heapq.heappop(ready)
+        order.append(v)
         for w, m in enumerate(rows[v]):
             if m > 0:
                 indegree[w] -= 1
                 if indegree[w] == 0:
-                    ready.append(w)
-    return removed == q.n
+                    heapq.heappush(ready, w)
+    return order if len(order) == len(rows) else None
+
+
+def is_acyclic(q: Quiver) -> bool:
+    """True iff the arrow digraph has no directed cycle, that is, iff it has
+    a topological order."""
+    return _least_topological_order(q.rows) is not None
 
 
 def _cycle_order(rows, vs: Sequence[int]) -> Optional[list[int]]:

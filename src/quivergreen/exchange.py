@@ -48,12 +48,20 @@ DEFAULT_MAX_MULT = 64
 
 @dataclass
 class ExchangeNode:
+    """One isomorphism class: its canonical key and representative, the BFS
+    layer it was found in, whether the walk left it unexpanded, and its MGS
+    verdict when ``psi_component`` decided one.  ``acyclic`` is read off the
+    representative on each access; no walk computes it in advance."""
+
     key: CanonicalKey
     quiver: Quiver  # canonical representative
-    acyclic: bool
     layer: int
     truncated: bool = False
     mgs: Optional[MgsVerdict] = None
+
+    @property
+    def acyclic(self) -> bool:
+        return is_acyclic(self.quiver)
 
 
 @dataclass
@@ -120,21 +128,22 @@ def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
     expanded node ``parent`` into a class not in ``graph.nodes``, that
     class's node and the canonical witness ``sigma`` of the mutated quiver;
     or ``(parent, None, k, None)`` for a mutation beyond the multiplicity
-    cap.  A class's node (canonical representative, acyclicity and layer) is
-    built once, when the class is new, so a class reached again is yielded
-    as the same object.  The caller adopts a node by putting it into
-    ``graph.nodes`` before it resumes the walk; the walk then records the
-    edge and expands the node in the next layer, unless the node is marked
-    truncated, which leaves the graph incomplete.  Layers are expanded in
-    key order, each node at ``vertices(representative)``, and a node skips
-    the vertices known to lead back to a neighbour (see ``_neighbours``).
+    cap.  A class's node (canonical representative and layer) is built
+    once, when the class is new, so a class reached again is yielded as the
+    same object; the walk tests no class for acyclicity.  The caller adopts
+    a node by putting it into ``graph.nodes`` before it resumes the walk;
+    the walk then records the edge and expands the node in the next layer,
+    unless the node is marked truncated, which leaves the graph incomplete.
+    Layers are expanded in key order, each node at
+    ``vertices(representative)``, and a node skips the vertices known to
+    lead back to a neighbour (see ``_neighbours``).
     A child in an adopted class is never yielded, so the walk matches it to
     the adopted representative instead of canonicalising it: any witness
     onto the representative gives a valid back vertex.
     """
     key, sigma = canonical_form(q)
     rep = relabel(q, sigma)
-    seen = {key.data: ExchangeNode(key, rep, is_acyclic(rep), 0)}
+    seen = {key.data: ExchangeNode(key, rep, 0)}
     yield None, seen[key.data], None, sigma
     back: dict[bytes, set[int]] = {}
     frontier = list(graph.nodes.values())  # the root, once adopted
@@ -159,7 +168,7 @@ def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
                     new = seen.get(ckey.data)
                     if new is None:
                         crep = relabel(child, sigma)
-                        new = ExchangeNode(ckey, crep, is_acyclic(crep), node.layer + 1)
+                        new = ExchangeNode(ckey, crep, node.layer + 1)
                         seen[ckey.data] = new
                     yield node, new, k, sigma
                     if ckey.data not in graph.nodes:
@@ -243,7 +252,7 @@ def is_mutation_acyclic(
     integer of at least 0 and ``max_quivers`` one of at least 1; both are
     checked on entry.  A mutation beyond the multiplicity cap leaves its
     branch unexplored, so the walk then never reports the class as
-    exhausted.
+    exhausted.  Every answer carries the admissibility result it solved.
     """
     depth = _require_int(depth, "depth")
     if depth < 0:
@@ -262,7 +271,9 @@ def is_mutation_acyclic(
             continue
         links[node.key.data] = (parent and parent.key.data, k, sigma)
         if node.acyclic:
-            return MutationAcyclicResult("yes", _input_sequence(links, node.key.data))
+            return MutationAcyclicResult(
+                "yes", _input_sequence(links, node.key.data), admissibility=adm
+            )
         node.truncated = node.layer >= depth or len(graph.nodes) >= max_quivers
         graph.nodes[node.key.data] = node
     note = "class exhausted without an acyclic member" if graph.complete else "budget reached"
@@ -375,9 +386,10 @@ def invariant_report(
     """Mutation-invariant summary: exact matrix rank, admissibility outcome,
     the number of acyclic classes when one is reachable, and the size and
     acyclic split of the surrounding MGS component for small ranks."""
+    ma = is_mutation_acyclic(q, depth, max_quivers)
     report: dict = {
         "b_rank": b_matrix_rank(q),
-        "admissible": "sat" if solve_admissibility(q).satisfiable else "unsat",
+        "admissible": "sat" if ma.admissibility.satisfiable else "unsat",
         "budgets": {
             "depth": depth,
             "max_quivers": max_quivers,
@@ -386,7 +398,6 @@ def invariant_report(
             "max_nodes": max_nodes,
         },
     }
-    ma = is_mutation_acyclic(q, depth, max_quivers)
     report["mutation_acyclic"] = ma.kind
     if ma.kind == "yes":
         member = mutate_sequence(q, ma.sequence)
@@ -396,10 +407,11 @@ def invariant_report(
         report["mgs"] = verdict.kind
         if verdict.yes:
             psi = psi_component(q, max_len, max_states, max_nodes)
+            acyclic = psi.acyclic_count()
             report["psi"] = {
                 "total": psi.size,
-                "acyclic": psi.acyclic_count(),
-                "non_acyclic": psi.size - psi.acyclic_count(),
+                "acyclic": acyclic,
+                "non_acyclic": psi.size - acyclic,
                 "complete": psi.complete,
             }
     return report

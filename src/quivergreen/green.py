@@ -17,7 +17,6 @@ return has been replayed and re-verified before it leaves this module.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,11 +25,11 @@ from .core import (
     MULT_CAP,
     Quiver,
     Rank3Params,
+    _least_topological_order,
     _mutate_int,
     _require_budget,
     _take,
     induced_subquiver,
-    is_acyclic,
     mutate,
 )
 from .errors import CertificateError, InternalInvariantError, QuiverError
@@ -398,18 +397,18 @@ def search_mgs(
                         continue
                     if c in reached:
                         continue  # reached at a shorter depth already
-                    cseq = seq + (k,)
-                    old = next_layer.get(c)
-                    if old is not None:
-                        if cseq < old:
-                            next_layer[c] = cseq
+                    if c in next_layer:
+                        # a layer is generated in increasing lexicographic
+                        # order of its sequences (parents in that order, each
+                        # at increasing k), so the first sequence to reach a
+                        # state is its least
                         continue
                     need = depth + cgreens
                     if need > bound:
                         if next_bound is None or need < next_bound:
                             next_bound = need
                         continue
-                    next_layer[c] = cseq
+                    next_layer[c] = seq + (k,)
             goals = [seq for c, seq in next_layer.items() if greens[c] == 0]
             if goals:
                 best = min(goals)
@@ -435,25 +434,14 @@ def acyclic_mgs(q: Quiver) -> MgsCertificate:
     and each vertex in this order is such a source when its turn comes, so
     the green vertices are exactly the unmutated ones and the least-index
     source of the green subquiver is the least unmutated vertex without an
-    arrow from another unmutated vertex.  Kahn's algorithm with a min-heap
-    picks exactly that vertex at every step; ``verify_mgs`` replays the
-    result."""
-    if not is_acyclic(q):
+    arrow from another unmutated vertex.  The least topological order
+    (``core._least_topological_order``, the one Kahn loop of the package)
+    picks exactly that vertex at every step, and it exists exactly when
+    ``q`` is acyclic; ``verify_mgs`` replays the result."""
+    order = _least_topological_order(q.rows)
+    if order is None:
         raise QuiverError("acyclic_mgs requires an acyclic quiver")
-    b = q.rows
-    n = q.n
-    indegree = [sum(1 for x in row if x < 0) for row in b]  # b[v][w] < 0: w -> v
-    ready = [v for v in range(n) if indegree[v] == 0]
-    heapq.heapify(ready)
-    seq = []
-    while ready:
-        v = heapq.heappop(ready)
-        seq.append(v + 1)
-        for w, m in enumerate(b[v]):
-            if m > 0:
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    heapq.heappush(ready, w)
+    seq = [v + 1 for v in order]
     cert = verify_mgs(q, seq)
     if cert is None:
         raise InternalInvariantError(

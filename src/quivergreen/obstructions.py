@@ -19,6 +19,7 @@ The pieces:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Optional, Union
@@ -63,13 +64,6 @@ class CompanionAssignment:
     """Sign per underlying edge; +1 encodes a positive companion entry."""
 
     signs: tuple[tuple[tuple[int, int], int], ...]
-
-    def sign(self, i: int, j: int) -> int:
-        pair = (min(i, j), max(i, j))
-        for edge, s in self.signs:
-            if edge == pair:
-                return s
-        raise KeyError(f"no edge {pair}")
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.signs)
@@ -271,11 +265,13 @@ def _rank3_cycle(
     return None
 
 
-def _no_mgs_catalog_entries() -> list[tuple[str, Quiver]]:
+@functools.cache
+def _no_mgs_catalog_entries() -> tuple[tuple[str, Quiver], ...]:
     """(name, quiver) of the catalog entries whose ``no_mgs`` fact is True,
-    by name.  Rank-3 entries are skipped: a rank-3 quiver without an MGS is
-    an oriented 3-cycle with all multiplicities at least 2, so the rank-3
-    rule already catches every one of them."""
+    by name, built once: the catalog never changes.  Rank-3 entries are
+    skipped: a rank-3 quiver without an MGS is an oriented 3-cycle with all
+    multiplicities at least 2, so the rank-3 rule already catches every one
+    of them."""
     from . import catalog
 
     out = []
@@ -283,7 +279,7 @@ def _no_mgs_catalog_entries() -> list[tuple[str, Quiver]]:
         entry = catalog.get(name)
         if entry.known_facts.get("no_mgs") is True and entry.quiver.n != 3:
             out.append((name, entry.quiver))
-    return out
+    return tuple(out)
 
 
 def _find_bad_subquiver(q: Quiver) -> Optional[SubquiverObstruction]:
@@ -475,7 +471,6 @@ def decide_mgs(
     q: Quiver,
     max_len: Optional[int] = None,
     max_states: Optional[int] = None,
-    _depth: int = 0,
 ) -> MgsVerdict:
     """Decide whether ``q`` has a maximal green sequence.
 
@@ -516,32 +511,33 @@ def decide_mgs(
     if r_obs is not None:
         return no(r_obs)
 
-    if _depth < q.n:
-        ds = find_direct_sum(q)
-        if ds is not None:
-            sub_l, map_l = induced_subquiver(q, ds.part_left)
-            sub_r, map_r = induced_subquiver(q, ds.part_right)
-            left = decide_mgs(sub_l, max_len, max_states, _depth + 1)
-            right = decide_mgs(sub_r, max_len, max_states, _depth + 1)
-            if left.no:
-                return no(_lift(left.obstruction, map_l, ds.part_left))
-            if right.no:
-                return no(_lift(right.obstruction, map_r, ds.part_right))
-            if left.yes and right.yes:
-                cert = direct_sum_mgs(q, ds, left.certificate, right.certificate)
-                return MgsVerdict("yes", certificate=cert)
+    # every direct-sum part and every cycle core is strictly smaller than
+    # q, so the recursion ends
+    ds = find_direct_sum(q)
+    if ds is not None:
+        sub_l, _ = induced_subquiver(q, ds.part_left)
+        sub_r, _ = induced_subquiver(q, ds.part_right)
+        left = decide_mgs(sub_l, max_len, max_states)
+        right = decide_mgs(sub_r, max_len, max_states)
+        if left.no:
+            return no(_lift(left.obstruction, ds.part_left))
+        if right.no:
+            return no(_lift(right.obstruction, ds.part_right))
+        if left.yes and right.yes:
+            cert = direct_sum_mgs(q, ds, left.certificate, right.certificate)
+            return MgsVerdict("yes", certificate=cert)
 
-        kc = find_ending_kcycle(q)
-        if kc is not None:
-            cycle, _ = kc
-            core_vs = tuple(sorted(set(range(1, q.n + 1)) - set(cycle[:-1])))
-            sub_c, map_c = induced_subquiver(q, core_vs)
-            core = decide_mgs(sub_c, max_len, max_states, _depth + 1)
-            if core.no:
-                return no(_lift(core.obstruction, map_c, core_vs))
-            if core.yes:
-                cert = kcycle_mgs(q, kc, core.certificate)
-                return MgsVerdict("yes", certificate=cert)
+    kc = find_ending_kcycle(q)
+    if kc is not None:
+        cycle, _ = kc
+        core_vs = tuple(sorted(set(range(1, q.n + 1)) - set(cycle[:-1])))
+        sub_c, _ = induced_subquiver(q, core_vs)
+        core = decide_mgs(sub_c, max_len, max_states)
+        if core.no:
+            return no(_lift(core.obstruction, core_vs))
+        if core.yes:
+            cert = kcycle_mgs(q, kc, core.certificate)
+            return MgsVerdict("yes", certificate=cert)
 
     result = search_mgs(q, max_len, max_states)
     if result.found:
@@ -551,18 +547,19 @@ def decide_mgs(
     return MgsVerdict("unknown", budgets=budgets)
 
 
-def _lift(obs: Obstruction, mapping: tuple[int, ...], vertices: tuple[int, ...]) -> Obstruction:
-    """Re-express an obstruction found in a relabelled part as a subquiver
-    obstruction of the parent quiver.
+def _lift(obs: Obstruction, vertices: tuple[int, ...]) -> Obstruction:
+    """Re-express an obstruction found in the induced subquiver on the
+    sorted vertex tuple ``vertices`` (relabelled ``1..len(vertices)`` in
+    that order) as a subquiver obstruction of the parent quiver.
 
-    Part relabellings are monotone, so a nested obstruction stated in the
+    The relabelling is monotone, so a nested obstruction stated in the
     part's own coordinates stays valid verbatim for the parent's induced
     subquiver on the mapped vertex set.
     """
     if isinstance(obs, SubquiverObstruction):
-        mapped = tuple(sorted(mapping[v - 1] for v in obs.vertices))
+        mapped = tuple(vertices[v - 1] for v in obs.vertices)
         return SubquiverObstruction(mapped, obs.inner)
-    return SubquiverObstruction(tuple(vertices), obs)
+    return SubquiverObstruction(vertices, obs)
 
 
 # ---------------------------------------------------------------------------

@@ -564,7 +564,7 @@ def explore_reference(
     graph = ExchangeGraph(meta={"max_nodes": max_nodes, "max_mult": max_mult})
     key, rep = _canonical_rep(q)
     root = ExchangeNode(
-        key, rep, is_acyclic(rep), 0, truncated=_over_mult(rep, max_mult)
+        key, rep, 0, truncated=_over_mult(rep, max_mult)
     )
     graph.nodes[key.data] = root
     frontier = [root]
@@ -592,7 +592,6 @@ def explore_reference(
                     cnode = ExchangeNode(
                         ckey,
                         crep,
-                        is_acyclic(crep),
                         node.layer + 1,
                         truncated=_over_mult(crep, max_mult),
                     )
@@ -623,7 +622,7 @@ def psi_component_reference(
     graph = ExchangeGraph(
         meta={"max_len": max_len, "max_states": max_states, "max_nodes": max_nodes}
     )
-    root = ExchangeNode(key, rep, is_acyclic(rep), 0, mgs=start)
+    root = ExchangeNode(key, rep, 0, mgs=start)
     graph.nodes[key.data] = root
     boundary: dict[bytes, BoundaryEntry] = {}
     unresolved = 0
@@ -657,7 +656,7 @@ def psi_component_reference(
                         unresolved += 1
                         continue
                     cnode = ExchangeNode(
-                        ckey, crep, is_acyclic(crep), node.layer + 1, mgs=verdict
+                        ckey, crep, node.layer + 1, mgs=verdict
                     )
                     graph.nodes[ckey.data] = cnode
                     nxt.append(cnode)

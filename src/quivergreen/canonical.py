@@ -24,8 +24,9 @@ its sorted row with its neighbours' sorted rows, weighted by the arrows to
 them.  Vertices whose colour is unique are mapped directly; the rest are
 matched by backtracking within their colour classes.  Every map is checked
 entry by entry before it is returned, so no answer rests on the colouring.
-The exchange-graph walk keeps a ``ClassIndex`` of the classes it has adopted
-and canonicalises only children that match none of them.
+The exchange-graph walk keeps one ``ClassIndex`` of every class it has
+reached and canonicalises a quiver only when it matches none of them, that
+is, only once per class.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import Quiver, _take
 from .errors import CapabilityError
 
 MAX_CANONICAL_N = 12
+SHORT_KEY_LENGTH = 12  # hex digits of ``CanonicalKey.short``
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,11 @@ class CanonicalKey:
     def hex(self) -> str:
         return self.data.hex()
 
-    def short(self, length: int = 12) -> str:
+    def short(self) -> str:
         """Digest prefix for labels and graph exports.  A plain prefix of the
         serialization would collide (every key of the same rank starts with
         the same bytes), so hash first."""
-        return hashlib.sha256(self.data).hexdigest()[:length]
+        return hashlib.sha256(self.data).hexdigest()[:SHORT_KEY_LENGTH]
 
     def __lt__(self, other: "CanonicalKey") -> bool:
         return self.data < other.data
@@ -236,22 +238,22 @@ def _backtrack(rows, target_rows, image, todo) -> bool:
 
 
 class ClassIndex:
-    """Isomorphism classes with known keys, each held by a representative
-    and bucketed by the multiset of its sorted rows, so that a quiver in one
-    of them gets that class's key and a verified witness without a
-    canonical form."""
+    """Isomorphism classes, each held by a representative and an opaque
+    value (a key, or the exchange walk's node) and bucketed by the multiset
+    of its sorted rows, so that a quiver in one of them gets that class's
+    value and a verified witness without a canonical form."""
 
     def __init__(self):
         self._buckets: dict[tuple, list] = {}
 
-    def add(self, key: CanonicalKey, rep: Quiver) -> None:
+    def add(self, value, rep: Quiver) -> None:
         # the colour classes are computed when a quiver first lands in the
         # bucket, since many held classes are never matched
-        entry = [key, rep.rows, None]
+        entry = [value, rep.rows, None]
         self._buckets.setdefault(tuple(sorted(_degrees(rep.rows))), []).append(entry)
 
-    def find(self, q: Quiver) -> Optional[tuple[CanonicalKey, tuple[int, ...]]]:
-        """``(key, sigma)`` for the class of ``q`` with ``relabel(q, sigma)``
+    def find(self, q: Quiver) -> Optional[tuple[object, tuple[int, ...]]]:
+        """``(value, sigma)`` for the class of ``q`` with ``relabel(q, sigma)``
         equal to its representative, or None if no held class matches."""
         degrees = _degrees(q.rows)
         bucket = self._buckets.get(tuple(sorted(degrees)))
@@ -259,12 +261,12 @@ class ClassIndex:
             return None
         classes = _classes(_colours(q.rows, degrees))
         for entry in bucket:
-            key, rows, target_classes = entry
+            value, rows, target_classes = entry
             if target_classes is None:
                 target_classes = entry[2] = _classes(_colours(rows, _degrees(rows)))
             sigma = _isomorphism(q.rows, classes, rows, target_classes)
             if sigma is not None:
-                return key, sigma
+                return value, sigma
         return None
 
 

@@ -7,10 +7,9 @@ suite; the catalog is data, not trusted ground truth.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
-from .core import Quiver, mutate
+from .core import Quiver, _parse_int, mutate
 from .errors import QuiverError
 
 
@@ -197,21 +196,29 @@ def _build_catalog() -> dict[str, CatalogEntry]:
     return entries
 
 
-_PARAMETRIC = [
-    (re.compile(r"^Q_(\d+),(\d+),(\d+)$"), lambda m: make_rank3(*map(int, m.groups()))),
-    (
-        re.compile(r"^R_(\d+),(\d+),(\d+)(_op)?$"),
-        lambda m: make_r_family(
-            int(m.group(1)), int(m.group(2)), int(m.group(3)), bool(m.group(4))
-        ),
-    ),
-    (re.compile(r"^Theta_(\d+)$"), lambda m: make_theta(int(m.group(1)))),
-    (re.compile(r"^Lin3_(\d+),(\d+)$"), lambda m: make_lin3(*map(int, m.groups()))),
-    (
-        re.compile(r"^Tri3_(\d+),(\d+),(\d+)$"),
-        lambda m: make_tri3(*map(int, m.groups())),
-    ),
-]
+# family -> (constructor, number of parameters).  A catalog name spells a
+# member ``Q_2,2,2`` (``R_0,2,3_op`` for an opposite R member), the command
+# line ``Q3:2,2,2`` (``R:0,2,3,op``).
+_PARAMETRIC = {
+    "Q": (make_rank3, 3),
+    "R": (make_r_family, 3),
+    "Theta": (make_theta, 1),
+    "Lin3": (make_lin3, 2),
+    "Tri3": (make_tri3, 3),
+}
+
+
+def family_member(family: str, params: list[str], opposite: bool = False) -> Quiver:
+    """The member of a parametric family from its parameters as written,
+    each in ASCII decimal digits; ``opposite`` is for the R family.  Raises
+    KeyError for an unknown family and QuiverError for parameters that are
+    malformed or outside the family's range."""
+    build, count = _PARAMETRIC[family]
+    args = [_parse_int(p, f"a {family} family parameter") for p in params]
+    if len(args) != count:
+        raise QuiverError(f"family {family} takes {count} parameters, got {len(args)}")
+    return build(*args, opposite=True) if opposite else build(*args)
+
 
 _CATALOG: dict[str, CatalogEntry] | None = None
 
@@ -230,15 +237,20 @@ def names() -> list[str]:
 
 def get(name: str) -> CatalogEntry:
     """Look up a bundled entry, or build one from a parametric name such as
-    ``Q_2,2,2``, ``R_0,2,3``, ``R_0,2,3_op``, ``Lin3_1,2`` or ``Tri3_1,1,2``."""
+    ``Q_2,2,2``, ``R_0,2,3``, ``R_0,2,3_op``, ``Lin3_1,2`` or ``Tri3_1,1,2``.
+    KeyError when the name is neither; QuiverError when a parametric name
+    has malformed parameters (see ``family_member``)."""
     cat = _catalog()
     if name in cat:
         return cat[name]
-    for pattern, build in _PARAMETRIC:
-        m = pattern.match(name)
-        if m:
-            return CatalogEntry(name, build(m), "parametric family", {})
-    raise KeyError(f"no catalog entry named {name!r}")
+    family, _, params = name.partition("_")
+    opposite = family == "R" and params.endswith("_op")
+    params = params.removesuffix("_op") if opposite else params
+    try:
+        quiver = family_member(family, params.split(","), opposite)
+    except KeyError:
+        raise KeyError(f"no catalog entry named {name!r}") from None
+    return CatalogEntry(name, quiver, "parametric family", {})
 
 
 # Separating-edge certificate for K4, rooted at the arrow 1 -> 2.  Child

@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import catalog as cat
-from .core import Quiver, is_acyclic, mutate, mutate_sequence
+from .core import Quiver, _parse_int, is_acyclic, mutate, mutate_sequence
 from .errors import CapabilityError, CertificateError, QuiverError
 from .exchange import (
     DEFAULT_MAX_MULT,
@@ -50,8 +50,18 @@ EXIT_INPUT = 1
 EXIT_UNKNOWN = 2
 
 
+def integer(text: str) -> int:
+    """A command-line integer, spelled in ASCII digits with an optional
+    minus; argparse names this function in its usage errors."""
+    return _parse_int(text, "an integer argument")
+
+
 def _parse_ints(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p != ""]
+    return [_parse_int(p, "each sequence entry") for p in text.split(",")]
+
+
+# command-line family prefix -> catalog family (``catalog._PARAMETRIC``)
+_FAMILY_SPECS = {"Q3": "Q", "R": "R", "Theta": "Theta", "Lin3": "Lin3", "Tri3": "Tri3"}
 
 
 def parse_quiver(spec: str) -> Quiver:
@@ -62,25 +72,13 @@ def parse_quiver(spec: str) -> Quiver:
         except KeyError as exc:
             raise QuiverError(str(exc)) from exc
     if ":" in spec:
-        family, _, args = spec.partition(":")
-        if family == "Q3":
-            a, b, c = _parse_ints(args)
-            return cat.make_rank3(a, b, c)
-        if family == "R":
-            parts = args.split(",")
-            op = parts[-1] == "op"
-            nums = [int(p) for p in (parts[:-1] if op else parts)]
-            a, b, c = nums
-            return cat.make_r_family(a, b, c, opposite=op)
-        if family == "Theta":
-            return cat.make_theta(int(args))
-        if family == "Lin3":
-            a, b = _parse_ints(args)
-            return cat.make_lin3(a, b)
-        if family == "Tri3":
-            a, b, c = _parse_ints(args)
-            return cat.make_tri3(a, b, c)
-        raise QuiverError(f"unknown family spec {family!r}")
+        prefix, _, args = spec.partition(":")
+        family = _FAMILY_SPECS.get(prefix)
+        if family is None:
+            raise QuiverError(f"unknown family spec {prefix!r}")
+        params = args.split(",")
+        opposite = family == "R" and params[-1] == "op"
+        return cat.family_member(family, params[:-1] if opposite else params, opposite)
     try:
         return load_quiver(spec)
     except OSError as exc:
@@ -364,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, kwargs in (
         ("--format", {"choices": ("text", "json", "dot"), "default": "text"}),
         ("--out", {"help": "write output to a file instead of stdout"}),
-        ("--max-len", {"type": int}),
-        ("--max-states", {"type": int}),
-        ("--max-nodes", {"type": int, "default": DEFAULT_MAX_NODES}),
-        ("--max-mult", {"type": int, "default": DEFAULT_MAX_MULT}),
-        ("--depth", {"type": int, "default": 8}),
+        ("--max-len", {"type": integer}),
+        ("--max-states", {"type": integer}),
+        ("--max-nodes", {"type": integer, "default": DEFAULT_MAX_NODES}),
+        ("--max-mult", {"type": integer, "default": DEFAULT_MAX_MULT}),
+        ("--depth", {"type": integer, "default": 8}),
     ):
         parser.add_argument(flag, **kwargs)
         common.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("mutate", help="apply mutations and print the result")
     p.add_argument("quiver")
-    p.add_argument("vertices", type=int, nargs="+")
+    p.add_argument("vertices", type=integer, nargs="+")
     p.set_defaults(func=cmd_mutate)
 
     p = add_parser("mgs", help="find, verify or rotate green sequences")

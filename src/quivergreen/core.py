@@ -14,6 +14,7 @@ package imports it.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter, neg
@@ -40,6 +41,19 @@ def _require_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise QuiverError(f"{what} must be an integer, got {x!r}")
     return int(x)
+
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _parse_int(text: str, what: str) -> int:
+    """The integer that ``text`` spells in ASCII decimal digits, with an
+    optional leading minus.  ``int`` alone would also take blanks, a plus
+    sign, underscores and non-ASCII digits; the range is left to the
+    receiving function, so a bad value gets that function's message."""
+    if not _DECIMAL.fullmatch(text):
+        raise QuiverError(f"{what} must be a decimal integer, got {text!r}")
+    return int(text)
 
 
 def _require_budget(x, what: str) -> int:
@@ -392,12 +406,13 @@ def sinks(q: Quiver) -> tuple[int, ...]:
     return tuple(i + 1 for i, row in enumerate(q.rows) if max(row) == 0)
 
 
-def _least_topological_order(rows) -> Optional[list[int]]:
-    """The least topological order of the arrow digraph of the square matrix
-    ``rows`` (0-based vertices; at each step the least vertex that no
-    unlisted vertex has an arrow to), or None when the digraph has a
-    directed cycle.  Kahn's algorithm with a min-heap: it lists every vertex
-    exactly when there is no cycle."""
+def _least_topological_order(rows) -> list[int]:
+    """The vertices (0-based) that Kahn's algorithm lists on the arrow
+    digraph of the square matrix ``rows``, in the order it lists them: at
+    each step the least vertex that no unlisted vertex has an arrow to.  It
+    lists exactly the vertices that no directed cycle reaches, so the list
+    is the least topological order of all vertices exactly when the digraph
+    is acyclic."""
     # b[v][w] < 0 for each arrow w -> v
     indegree = [sum(1 for x in row if x < 0) for row in rows]
     ready = [v for v, d in enumerate(indegree) if d == 0]  # ascending: a heap
@@ -410,13 +425,13 @@ def _least_topological_order(rows) -> Optional[list[int]]:
                 indegree[w] -= 1
                 if indegree[w] == 0:
                     heapq.heappush(ready, w)
-    return order if len(order) == len(rows) else None
+    return order
 
 
 def is_acyclic(q: Quiver) -> bool:
     """True iff the arrow digraph has no directed cycle, that is, iff it has
     a topological order."""
-    return _least_topological_order(q.rows) is not None
+    return len(_least_topological_order(q.rows)) == q.n
 
 
 def _cycle_order(rows, vs: Sequence[int]) -> Optional[list[int]]:
@@ -573,39 +588,15 @@ def separating_edges(q: Quiver) -> list[tuple[int, int]]:
 
     An arrow ``i -> j`` lies on a bi-infinite path iff some directed cycle
     reaches ``i`` and ``j`` reaches some directed cycle; everything else is
-    separating.
+    separating.  Kahn's algorithm lists exactly the vertices that no cycle
+    reaches, and on the reversed arrows exactly those that reach no cycle.
     """
-    n = q.n
-    succ = {v: set() for v in range(1, n + 1)}
-    pred = {v: set() for v in range(1, n + 1)}
-    arrows = [(t, h) for t, h, _ in q.arrows()]
-    for i, j in arrows:
-        succ[i].add(j)
-        pred[j].add(i)
-
-    on_cycle = set()
-    for v in range(1, n + 1):
-        # v lies on a directed cycle iff v is reachable from one of its successors
-        frontier = set(succ[v])
-        seen = set(frontier)
-        while frontier:
-            if v in seen:
-                on_cycle.add(v)
-                break
-            frontier = {w for u in frontier for w in succ[u]} - seen
-            seen |= frontier
-
-    def closure(start: set, nbrs) -> set:
-        out = set(start)
-        frontier = set(start)
-        while frontier:
-            frontier = {w for u in frontier for w in nbrs[u]} - out
-            out |= frontier
-        return out
-
-    fed_by_cycle = closure(on_cycle, succ)  # vertices some cycle reaches
-    feeds_cycle = closure(on_cycle, pred)  # vertices that reach some cycle
-
+    no_cycle_reaches = set(_least_topological_order(q.rows))
+    reaches_no_cycle = set(
+        _least_topological_order([[-x for x in row] for row in q.rows])
+    )
     return [
-        (i, j) for i, j in arrows if not (i in fed_by_cycle and j in feeds_cycle)
+        (i, j)
+        for i, j, _ in q.arrows()
+        if i - 1 in no_cycle_reaches or j - 1 in reaches_no_cycle
     ]

@@ -6,11 +6,12 @@ four traversals (``explore``, ``psi_component``, ``enumerate_acyclic`` and
 ``is_mutation_acyclic``) share one walk, ``_walk``: breadth-first layers
 with key-ordered expansion, each edge computed from one end only, so the
 resulting graphs, exports and statistics are reproducible byte for byte.
-A child in a class the walk has already adopted is matched to that class's
-representative by a verified isomorphism (``canonical.ClassIndex``); only
-the root and children outside the adopted classes are canonicalised.  Any
-isomorphism onto the representative names a valid vertex back to the
-parent's class, so the choice of witness changes no output.
+The walk keeps one ``canonical.ClassIndex`` of every class it has reached:
+a child in one of them is matched to that class's representative by a
+verified isomorphism, and only a class the walk has not yet reached is
+canonicalised, once.  Any isomorphism onto the representative names a
+valid vertex back to the parent's class, so the choice of witness changes
+no output.
 """
 
 from __future__ import annotations
@@ -87,33 +88,6 @@ class ExchangeGraph:
         return len(self.nodes)
 
 
-def _neighbours(rep: Quiver, vertices, skip, known: ClassIndex):
-    """Mutate ``rep`` at each of ``vertices`` not in ``skip`` and yield
-    ``(k, child, child key, witness sigma)``, or ``(k, None, None, None)``
-    for a mutation beyond the multiplicity cap.  ``relabel(child, sigma)``
-    is the class's canonical representative: for a class in ``known``,
-    ``sigma`` is a verified isomorphism onto the held representative; for
-    any other class, it is the canonical witness.
-
-    Mutation is an involution that commutes with relabelling: if
-    ``relabel(mu_k(rep), sigma)`` is the child's representative, then
-    ``mu_{sigma(k)}`` of that representative is ``relabel(rep, sigma)``.  So
-    for any such witness the back vertex ``sigma[k-1]`` of the child
-    representative mutates back into the class of ``rep``, and ``_walk``
-    skips it when it expands the child: each edge between two classes is
-    computed from one end only.
-    """
-    for k in vertices:
-        if k in skip:
-            continue
-        try:
-            child = mutate(rep, k)
-        except QuiverError:
-            yield k, None, None, None
-            continue
-        yield (k, child, *(known.find(child) or canonical_form(child)))
-
-
 def _every_vertex(rep: Quiver):
     return range(1, rep.n + 1)
 
@@ -126,30 +100,38 @@ def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
     Yields ``(parent, node, k, sigma)``: first the canonical root, with
     ``parent`` and ``k`` None; then, for each mutation at vertex ``k`` of an
     expanded node ``parent`` into a class not in ``graph.nodes``, that
-    class's node and the canonical witness ``sigma`` of the mutated quiver;
-    or ``(parent, None, k, None)`` for a mutation beyond the multiplicity
-    cap.  A class's node (canonical representative and layer) is built
-    once, when the class is new, so a class reached again is yielded as the
-    same object; the walk tests no class for acyclicity.  The caller adopts
+    class's node and a witness ``sigma`` with ``relabel(mu_k(parent rep),
+    sigma)`` equal to the node's representative; or ``(parent, None, k,
+    None)`` for a mutation beyond the multiplicity cap.  The caller adopts
     a node by putting it into ``graph.nodes`` before it resumes the walk;
     the walk then records the edge and expands the node in the next layer,
     unless the node is marked truncated, which leaves the graph incomplete.
     Layers are expanded in key order, each node at
-    ``vertices(representative)``, and a node skips the vertices known to
-    lead back to a neighbour (see ``_neighbours``).
-    A child in an adopted class is never yielded, so the walk matches it to
-    the adopted representative instead of canonicalising it: any witness
-    onto the representative gives a valid back vertex.
+    ``vertices(representative)``; the walk tests no class for acyclicity.
+
+    ``classes`` holds every class the walk has reached, adopted or not, by
+    its node.  A child that matches none of them is a new class: only then
+    is it canonicalised, relabelled into its canonical representative and
+    given a node, whose witness is the canonical one.  A child that matches
+    one gets that class's node, the same object each time, and a verified
+    isomorphism onto its representative.
+
+    Mutation is an involution that commutes with relabelling: if
+    ``relabel(mu_k(rep), sigma)`` is the child's representative, then
+    ``mu_{sigma(k)}`` of that representative is ``relabel(rep, sigma)``.  So
+    for any witness the back vertex ``sigma[k-1]`` of the child
+    representative mutates back into the class of ``rep``, and the walk
+    skips it when it expands the child: each edge between two classes is
+    computed from one end only, and the choice of witness changes no
+    output.
     """
     key, sigma = canonical_form(q)
-    rep = relabel(q, sigma)
-    seen = {key.data: ExchangeNode(key, rep, 0)}
-    yield None, seen[key.data], None, sigma
+    root = ExchangeNode(key, relabel(q, sigma), 0)
+    classes = ClassIndex()
+    classes.add(root, root.quiver)
+    yield None, root, None, sigma
     back: dict[bytes, set[int]] = {}
     frontier = list(graph.nodes.values())  # the root, once adopted
-    known = ClassIndex()  # the adopted classes, graph.nodes
-    for node in frontier:
-        known.add(node.key, node.quiver)
     while frontier:
         frontier.sort(key=lambda n: n.key.data)
         nxt = []
@@ -158,25 +140,28 @@ def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
                 graph.complete = False
                 continue
             skip = back.pop(node.key.data, ())
-            for k, child, ckey, sigma in _neighbours(
-                node.quiver, vertices(node.quiver), skip, known
-            ):
-                if child is None:
+            for k in vertices(node.quiver):
+                if k in skip:
+                    continue
+                try:
+                    child = mutate(node.quiver, k)
+                except QuiverError:
                     yield node, None, k, None
                     continue
-                if ckey.data not in graph.nodes:
-                    new = seen.get(ckey.data)
-                    if new is None:
-                        crep = relabel(child, sigma)
-                        new = ExchangeNode(ckey, crep, node.layer + 1)
-                        seen[ckey.data] = new
+                found = classes.find(child)
+                if found is None:
+                    ckey, sigma = canonical_form(child)
+                    new = ExchangeNode(ckey, relabel(child, sigma), node.layer + 1)
+                    classes.add(new, new.quiver)
+                else:
+                    new, sigma = found
+                if new.key.data not in graph.nodes:
                     yield node, new, k, sigma
-                    if ckey.data not in graph.nodes:
+                    if new.key.data not in graph.nodes:
                         continue
-                    known.add(ckey, new.quiver)
                     nxt.append(new)
-                graph.add_edge(ckey.data, node.key.data)
-                back.setdefault(ckey.data, set()).add(sigma[k - 1])
+                graph.add_edge(new.key.data, node.key.data)
+                back.setdefault(new.key.data, set()).add(sigma[k - 1])
         frontier = nxt
 
 
@@ -263,7 +248,8 @@ def is_mutation_acyclic(
         return MutationAcyclicResult("no", admissibility=adm)
     graph = ExchangeGraph()
     # class key -> (parent key, vertex mutated in the parent's
-    # representative, canonical witness of the mutated quiver)
+    # representative, witness of the mutated quiver onto the class's
+    # representative)
     links: dict[bytes, tuple] = {}
     for parent, node, k, sigma in _walk(q, graph):
         if node is None:

@@ -436,10 +436,10 @@ def acyclic_mgs(q: Quiver) -> MgsCertificate:
     source of the green subquiver is the least unmutated vertex without an
     arrow from another unmutated vertex.  The least topological order
     (``core._least_topological_order``, the one Kahn loop of the package)
-    picks exactly that vertex at every step, and it exists exactly when
-    ``q`` is acyclic; ``verify_mgs`` replays the result."""
+    picks exactly that vertex at every step, and it lists every vertex
+    exactly when ``q`` is acyclic; ``verify_mgs`` replays the result."""
     order = _least_topological_order(q.rows)
-    if order is None:
+    if len(order) < q.n:
         raise QuiverError("acyclic_mgs requires an acyclic quiver")
     seq = [v + 1 for v in order]
     cert = verify_mgs(q, seq)

@@ -314,15 +314,14 @@ def match_r_family(q: Quiver) -> list[tuple[int, int, int]]:
     4->2 x b, 3->4 x c)."""
     if q.n != 4:
         return []
+    b = q.rows
     found = set()
-    for v1, v2, v3, v4 in permutations((1, 2, 3, 4)):
-        if q.mult(v2, v1) != 1 or q.mult(v2, v3) != 1 or q.mult(v1, v3) != 1:
+    for v1, v2, v3, v4 in permutations(range(4)):
+        if b[v2][v1] != 1 or b[v2][v3] != 1 or b[v1][v3] != 1:
             continue
-        a = q.mult(v4, v1)
-        b = q.mult(v4, v2)
-        c = q.mult(v3, v4)
-        if a >= 0 and b >= 0 and c >= 0:
-            found.add((a, b, c))
+        triple = (b[v4][v1], b[v4][v2], b[v3][v4])
+        if min(triple) >= 0:
+            found.add(triple)
     return sorted(found)
 
 

@@ -101,6 +101,27 @@ def has_directed_cycle_paths(q: Quiver) -> bool:
     return any(walk(v, v, {v}) for v in range(1, q.n + 1))
 
 
+def separating_edges_closure(q: Quiver) -> list[tuple[int, int]]:
+    """Arrows ``i -> j`` such that not both some vertex on a directed cycle
+    reaches ``i`` and ``j`` reaches some vertex on a directed cycle, read off
+    the transitive closure of the arrow relation (Warshall)."""
+    n = q.n
+    reach = [[q.b[i, j] > 0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    on_cycle = [c for c in range(n) if reach[c][c]]
+    fed = {v for v in range(n) if any(c == v or reach[c][v] for c in on_cycle)}
+    feeds = {v for v in range(n) if any(c == v or reach[v][c] for c in on_cycle)}
+    return [
+        (i, j)
+        for i, j, _ in q.arrows()
+        if not (i - 1 in fed and j - 1 in feeds)
+    ]
+
+
 def chordless_cycles_brute(q: Quiver) -> set[frozenset]:
     """Vertex sets of chordless cycles, by checking every subset."""
     out = set()

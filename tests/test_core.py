@@ -30,6 +30,7 @@ from oracles import (
     quiver_to_arrow_list,
     random_quiver,
     rank_fractions,
+    separating_edges_closure,
 )
 
 
@@ -235,6 +236,25 @@ def test_separating_edges():
     assert separating_edges(make_rank3(1, 1, 1)) == []
     path = Quiver.from_arrows(3, [(1, 2), (2, 3)])
     assert separating_edges(path) == [(1, 2), (2, 3)]
+
+
+def test_separating_edges_match_the_closure_oracle():
+    # sparse quivers, so that acyclic ones, cyclic ones and arrows on either
+    # side of a cycle all occur
+    rng = np.random.default_rng(61)
+    kinds = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        b = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(i + 1, n):
+                b[i, j] = rng.choice([-2, -1, 0, 0, 0, 0, 1, 2])
+                b[j, i] = -b[i, j]
+        q = Quiver(b)
+        got = separating_edges(q)
+        assert got == separating_edges_closure(q)
+        kinds.add((is_acyclic(q), 0 < len(got) < len(q.arrows())))
+    assert kinds >= {(True, False), (False, False), (False, True)}
 
 
 def test_relabel_roundtrip():

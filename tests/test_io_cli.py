@@ -51,6 +51,16 @@ def test_parse_quiver_specs(tmp_path):
     from quivergreen.catalog import make_r_family
 
     assert parse_quiver("R:0,2,3,op") == make_r_family(0, 2, 3, opposite=True)
+    # one family table serves both spellings
+    for spec, name in [
+        ("Q3:2,2,3", "Q_2,2,3"),
+        ("R:0,2,3", "R_0,2,3"),
+        ("R:0,2,3,op", "R_0,2,3_op"),
+        ("Theta:5", "Theta_5"),
+        ("Lin3:1,2", "Lin3_1,2"),
+        ("Tri3:1,1,2", "Tri3_1,1,2"),
+    ]:
+        assert parse_quiver(spec) == get(name).quiver
     path = tmp_path / "q.json"
     path.write_text(dumps_quiver(make_rank3(1, 2, 3)))
     assert parse_quiver(str(path)) == make_rank3(1, 2, 3)
@@ -423,3 +433,28 @@ def test_cli_usage_error_is_an_input_error(capsys, argv):
 def test_cli_help_exits_zero(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out.startswith("usage: quivergreen")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "Q3:1,,2,3"),
+        ("decide", "Q3:1,2,3,"),
+        ("decide", "Q3: 1,2,3"),
+        ("decide", "Q3:1_0,2,3"),
+        ("decide", "Theta:٥"),
+        ("decide", "catalog:Q_٢,٢,٢"),
+        ("decide", "catalog:Theta_5\n"),
+        ("mgs", "verify", "catalog:K4", "1,,2,3,4,2"),
+        ("--max-len", "1_0", "decide", "catalog:K4"),
+        ("--depth", " 3", "mutation-acyclic", "catalog:K4"),
+        ("mutate", "Q3:1,1,1", "٢"),
+    ],
+)
+def test_cli_integers_are_parsed_not_coerced(capsys, argv):
+    # int() would take blanks, underscores and non-ASCII digits, and an
+    # empty part of a list would be dropped
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "error:" in err and "Traceback" not in err
+

@@ -331,6 +331,23 @@ def test_match_r_family():
     assert (1, 2, 4) in match_r_family(shuffled)
 
 
+def test_match_r_family_finds_exactly_the_isomorphic_members():
+    # every triple names a family member isomorphic to the input, and a
+    # relabelled member is matched with its own parameters
+    rng = np.random.default_rng(62)
+    for _ in range(150):
+        a, b, c = (int(x) for x in rng.integers(0, 4, size=3))
+        q = relabel(make_r_family(a, b, c), [int(v) + 1 for v in rng.permutation(4)])
+        triples = match_r_family(q)
+        assert (a, b, c) in triples
+        key = canonical_key(q)
+        assert all(canonical_key(make_r_family(*t)) == key for t in triples)
+    for _ in range(150):
+        q = random_quiver(rng, 4, 2)
+        key = canonical_key(q)
+        assert all(canonical_key(make_r_family(*t)) == key for t in match_r_family(q))
+
+
 # ---------------------------------------------------------------------------
 # the decider
 # ---------------------------------------------------------------------------

@@ -249,6 +249,31 @@ def test_canonical_form_calls_pinned(
     assert form_calls[0] == expected_reference
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: explore(D6, max_nodes=10),
+        lambda: psi_component(catalog.get("Z6").quiver, max_nodes=3),
+        lambda: psi_component(catalog.get("K4").quiver),
+    ],
+    ids=["explore-D6-10", "psi-Z6-3", "psi-K4"],
+)
+def test_no_class_is_canonicalised_twice_in_one_walk(monkeypatch, run):
+    # the walk's index holds every class it reached, adopted or not: those
+    # cut by the node budget and psi's boundary classes too
+    keys = []
+    form = exchange.canonical_form
+
+    def recording(q):
+        result = form(q)
+        keys.append(result[0].data)
+        return result
+
+    monkeypatch.setattr(exchange, "canonical_form", recording)
+    run()
+    assert len(keys) == len(set(keys))
+
+
 def _path_union(*lengths):
     """Disjoint union of oriented type-A paths with the given vertex counts."""
     arrows, offset = [], 0

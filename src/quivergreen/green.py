@@ -18,6 +18,8 @@ return has been replayed and re-verified before it leaves this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from .core import (
@@ -301,6 +303,56 @@ def _mutate_rows(rows, green: int, k: int, n: int):
     return out, green
 
 
+# A state with every entry at most this bound has no child beyond MULT_CAP:
+# a changed entry is x + b*y with |x|, |b|, |y| <= r, and r + r*r <= MULT_CAP
+_SAFE_ENTRY = isqrt(MULT_CAP)
+_UNBUILT = -1  # edge whose child is not built yet
+_CAPPED = -2  # edge whose mutation hit MULT_CAP
+_UNPREDICTED = -1  # green bits of a child that is built at its first visit
+
+
+# rows of B recur across the states of a search and across the searches of
+# one run: the 551 searches of a seed-1 psi pass ask 14,327 times for 1,096
+# distinct rows
+@lru_cache(maxsize=1 << 10)
+def _column_masks(b_row: tuple[int, ...]) -> tuple[int, int, bool, int]:
+    """What a step at ``k`` reads off row ``k`` of B (``b_row[i] = b_ki =
+    -b_ik``): the bits of the vertices adjacent to ``k``, the bits of those
+    with ``b_ik > 0`` (the only c-rows the step changes when ``k`` is
+    green), whether ``k`` heads a multiple arrow, and ``1 + max|b_ik|``, a
+    factor by which the step can at most grow the largest entry."""
+    adjacent = gaining = 0
+    for i, b in enumerate(b_row):
+        if b:
+            adjacent |= 1 << i
+            if b < 0:
+                gaining |= 1 << i
+    low = min(b_row)
+    return adjacent, gaining, low <= -2, 1 + max(max(b_row), -low)
+
+
+def _predict_green(rows, green: int, k: int, n: int) -> int:
+    """Green bits of the child of framed rows ``rows`` at green vertex ``k``
+    (0-based), read off the parent without mutating it.
+
+    ``c_k >= 0`` for a green ``k``, so mutation adds ``b_ik c_k`` to the
+    c-row of each ``i`` with ``b_ik > 0`` and leaves every other c-row but
+    ``k``'s alone: green rows stay green, row ``k`` turns red, and a red row
+    turns green iff ``sum(c_i) + b_ik sum(c_k) > 0``, because the new row is
+    sign-coherent (Derksen, Weyman and Zelevinsky, JAMS 2010).
+    """
+    bits = green & ~(1 << k)
+    sum_k = None
+    for i, row in enumerate(rows):
+        b = row[k]
+        if b > 0 and not green >> i & 1:
+            if sum_k is None:
+                sum_k = sum(rows[k][n:])
+            if sum(row[n:]) + b * sum_k > 0:
+                bits |= 1 << i
+    return bits
+
+
 def search_mgs(
     q: Quiver,
     max_len: Optional[int] = None,
@@ -325,6 +377,26 @@ def search_mgs(
     ``prune`` on, mutations at the head of a multiple arrow are never
     expanded; no MGS contains such a step.
 
+    Only sequences in lexicographic normal form are extended (Anisimov and
+    Knuth, "Inhomogeneous sorting", 1979).  Each layer entry carries the
+    set F of vertices it may not mutate next: the root has none, and
+    mutating ``k`` at ``s`` gives ``(F(s) | {i < k}) & {i : b_ik = 0 at
+    s}``.  A step at ``i`` in F commutes with every step back to a larger
+    one, and row and column ``i`` do not change along the way, so moving it
+    before that step reaches the same state, as green, by a smaller
+    sequence: no state's least sequence is skipped.  A state with an entry
+    above ``isqrt(MULT_CAP)``, where the moved sequence might pass the cap,
+    takes every step and passes an empty F on.
+
+    A child is built when it enters a layer, not before: its green bits are
+    predicted from the parent by :func:`_predict_green`, so a child that
+    the bound drops is never built, and the prediction is checked when the
+    child is built.  Two kinds of step are built at their first visit
+    instead, with no prediction: a step that can turn no red vertex green,
+    whose child keeps the parent's ``depth + green count``, and every step
+    from a state with an entry above ``isqrt(MULT_CAP)``, so that every cap
+    hit is seen where the step is first tried.
+
     The search runs on integer rows: a state is the tuple of the top ``n``
     rows ``B | C`` of its framed matrix, mutated, capped and checked for
     sign-coherence by :func:`_mutate_rows`.  The sequence it returns is
@@ -333,11 +405,12 @@ def search_mgs(
     before it is reported.
 
     ``states`` counts the distinct framed states built over all passes,
-    each once (every framed mutation is computed once per search), and
-    ``max_states`` caps that count.  "exhausted" is only claimed when no
-    MGS of length at most ``max_len`` exists: the last pass dropped nothing,
-    or the next bound would exceed ``max_len``.  Branches cut off by the
-    multiplicity cap downgrade the outcome to "budget".
+    each once: the states within the last bound, and the children of states
+    with an entry above ``isqrt(MULT_CAP)``.  ``max_states`` caps that
+    count.  "exhausted" is only claimed when no MGS of length at most
+    ``max_len`` exists: the last pass dropped nothing, or the next bound
+    would exceed ``max_len``.  Branches cut off by the multiplicity cap
+    downgrade the outcome to "budget".  ``prune`` must be a bool.
     """
     n = q.n
     max_len = _require_budget(
@@ -346,6 +419,8 @@ def search_mgs(
     max_states = _require_budget(
         DEFAULT_MAX_STATES if max_states is None else max_states, "max_states"
     )
+    if not isinstance(prune, bool):
+        raise QuiverError(f"prune must be True or False, got {prune!r}")
 
     start = _frame_rows(q)
     # every distinct state built, numbered in order of construction: rows
@@ -353,46 +428,78 @@ def search_mgs(
     number: dict[tuple, int] = {start: 0}
     states = [start]
     greens = [(1 << n) - 1]
-    # memoised across passes: number -> [(k, child number or -1 when the
-    # mutation hit the cap, child green count), ...]
-    edges: list[Optional[list[tuple[int, int, int]]]] = [None]
+    # a bound on the entries of each state: exact at the root, a parent's
+    # times its step's growth factor below it, and measured exactly where
+    # it passes _SAFE_ENTRY
+    peaks = [max(1, max(map(max, q.rows)))]
+    # memoised across passes: number -> [[k, child number (or _UNBUILT or
+    # _CAPPED), child green count (0 until an unpredicted child is built),
+    # predicted green bits (or _UNPREDICTED), child F, growth factor], ...]
+    edges: list[Optional[list[list[int]]]] = [None]
     capped = False
     bound = min(n, max_len)
     while True:
         next_bound = None
         reached = {0}
-        layer: dict[int, tuple[int, ...]] = {0: ()}
+        # number -> (least sequence, F) of the states at this depth
+        layer: dict[int, tuple[tuple[int, ...], int]] = {0: ((), 0)}
         depth = 0
         while layer:
             depth += 1
-            next_layer: dict[int, tuple[int, ...]] = {}
-            for s, seq in layer.items():
-                out = edges[s]
+            next_layer: dict[int, tuple[tuple[int, ...], int]] = {}
+            for s, (seq, f) in layer.items():
+                rows, out = states[s], edges[s]
                 if out is None:
-                    rows, green = states[s], greens[s]
-                    out = []
+                    out = edges[s] = []
+                    green = greens[s]
+                    red = ~green
+                    peak = peaks[s]
+                    if peak > _SAFE_ENTRY:
+                        peak = peaks[s] = max(
+                            max(map(max, rows)), -min(map(min, rows))
+                        )
+                    big = peak > _SAFE_ENTRY
+                    if big:
+                        f = 0
                     for kk in range(n):
-                        if not green >> kk & 1:
+                        bit = 1 << kk
+                        if not green & bit or f & bit:
                             continue
-                        if prune and any(r[kk] >= 2 for r in rows):
+                        adjacent, gaining, heads, grow = _column_masks(rows[kk][:n])
+                        if prune and heads:
                             continue  # head of a multiple arrow
-                        step = _mutate_rows(rows, green, kk, n)
+                        cf = 0 if big else (f | (bit - 1)) & ~adjacent
+                        if gaining & red and not big:
+                            bits = _predict_green(rows, green, kk, n)
+                            count = bits.bit_count()
+                        else:
+                            bits, count = _UNPREDICTED, 0
+                        out.append([kk + 1, _UNBUILT, count, bits, cf, grow])
+                for edge in out:
+                    k, c, cgreens, bits, cf, grow = edge
+                    if c == _UNBUILT and depth + cgreens <= bound:
+                        step = _mutate_rows(rows, greens[s], k - 1, n)
                         if step is None:
-                            out.append((kk + 1, -1, 0))
-                            continue
-                        crows, cgreen = step
-                        c = number.get(crows)
-                        if c is None:
-                            c = number[crows] = len(states)
-                            states.append(crows)
-                            greens.append(cgreen)
-                            edges.append(None)
-                            if len(states) > max_states:
-                                return SearchResult("budget", None, len(states))
-                        out.append((kk + 1, c, cgreen.bit_count()))
-                    edges[s] = out
-                for k, c, cgreens in out:
-                    if c < 0:
+                            c = edge[1] = _CAPPED
+                        else:
+                            crows, cgreen = step
+                            if bits != _UNPREDICTED and cgreen != bits:
+                                raise InternalInvariantError(
+                                    f"step {k} gave green bits {cgreen:b}, "
+                                    f"predicted {bits:b}"
+                                )
+                            c = number.get(crows)
+                            if c is None:
+                                c = number[crows] = len(states)
+                                states.append(crows)
+                                greens.append(cgreen)
+                                peaks.append(peaks[s] * grow)
+                                edges.append(None)
+                                if len(states) > max_states:
+                                    return SearchResult("budget", None, len(states))
+                            edge[1] = c
+                            edge[2] = cgreens = cgreen.bit_count()
+                    if c == _CAPPED:
                         capped = True
                         continue
                     if c in reached:
@@ -408,8 +515,8 @@ def search_mgs(
                         if next_bound is None or need < next_bound:
                             next_bound = need
                         continue
-                    next_layer[c] = seq + (k,)
-            goals = [seq for c, seq in next_layer.items() if greens[c] == 0]
+                    next_layer[c] = (seq + (k,), cf)
+            goals = [seq for c, (seq, _) in next_layer.items() if greens[c] == 0]
             if goals:
                 best = min(goals)
                 cert = verify_mgs(q, best)

@@ -450,8 +450,10 @@ def search_mgs_reference(q: Quiver, max_len=None, max_states=None, prune=True):
     for ``green.search_mgs`` (which runs on bare integer rows and the kernel
     ``core._mutate_int``): the same iterative deepening on "depth + green
     count", with each state built by ``mutate_framed`` and keyed by its
-    rows.  Status, certificate and ``states`` must agree with the package
-    search."""
+    rows, but with every sequence extended, in every order, and every child
+    built before the bound is read.  Status and certificate must agree with
+    the package search, which builds only the states within the bound, so
+    its ``states`` is at most this one."""
     if max_len is None:
         max_len = default_max_len(q.n)
     if max_states is None:

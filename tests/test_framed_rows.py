@@ -116,9 +116,19 @@ def test_replay_certifies_every_search_result_without_the_search_kernel(
 
 
 def _assert_matches_reference(q, **kwargs):
+    # the package search builds only the states its bound admits, a subset
+    # of what the reference builds
     res = search_mgs(q, **kwargs)
     ref = search_mgs_reference(q, **kwargs)
-    assert res == ref, (q.arrows(), kwargs)
+    if ref.status == "budget" and res.status != "budget":
+        # the reference spent the shared state budget on children the
+        # bound drops; without it, it must reach the same outcome
+        ref = search_mgs_reference(q, **{**kwargs, "max_states": None})
+    assert (res.status, res.certificate) == (ref.status, ref.certificate), (
+        q.arrows(),
+        kwargs,
+    )
+    assert res.states <= ref.states, (q.arrows(), kwargs)
     return res
 
 
@@ -141,12 +151,94 @@ def test_search_matches_reference_on_the_catalog():
             _assert_matches_reference(q, max_states=400, prune=prune)
 
 
+def test_search_matches_reference_at_every_max_len():
+    # the normal form and the prediction change only which states are
+    # built: with and without pruning, at the default max_len and around
+    # the rank
+    rng = np.random.default_rng(1717)
+    statuses = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        q = random_quiver(rng, n, int(rng.integers(0, 4)))
+        for prune in (True, False):
+            for max_len in (None, n - 1, n, n + 1):
+                res = _assert_matches_reference(
+                    q, max_len=max_len, max_states=300, prune=prune
+                )
+                statuses.add(res.status)
+    assert statuses == {"found", "exhausted", "budget"}
+
+
+def test_search_matches_reference_above_the_safe_entry():
+    # entries above isqrt(MULT_CAP): such states take every step, predict
+    # nothing and build their children at once, so cap hits show as before
+    rng = np.random.default_rng(4099)
+    statuses = set()
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        scale = int(rng.choice([20_000, 46_341, 70_000, 2**16]))
+        q = Quiver([[scale * x for x in row] for row in random_quiver(rng, n, 3).rows])
+        for prune in (True, False):
+            for max_len in (None, n, n + 2):
+                res = _assert_matches_reference(
+                    q, max_len=max_len, max_states=300, prune=prune
+                )
+                statuses.add(res.status)
+    assert statuses == {"found", "exhausted", "budget"}
+
+
+def test_a_wrong_green_prediction_raises(monkeypatch):
+    calls = []
+
+    def all_red(rows, green, k, n):
+        calls.append(k)
+        return 0
+
+    monkeypatch.setattr(green, "_predict_green", all_red)
+    with pytest.raises(InternalInvariantError, match="predicted"):
+        search_mgs(catalog.get("K4").quiver)
+    assert calls
+
+
+def test_search_states_do_not_depend_on_vertex_labels():
+    # the states built are those within the bound, a set that relabelling
+    # maps onto itself; the order of the normal form does depend on labels
+    rng = np.random.default_rng(29)
+    quivers = [catalog.get(name).quiver for name in ("K4", "Z6", "W5", "Theta_6")]
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        quivers.append(random_quiver(rng, n, int(rng.integers(1, 4))))
+    for q in quivers:
+        res = search_mgs(q, max_states=5000)
+        for _ in range(3):
+            sigma = [int(v) + 1 for v in rng.permutation(q.n)]
+            other = search_mgs(core.relabel(q, sigma), max_states=5000)
+            assert (other.status, other.states) == (res.status, res.states), (
+                q.arrows(),
+                sigma,
+            )
+
+
+@pytest.mark.parametrize("value", ["no", None, 1, 0])
+def test_search_rejects_a_prune_flag_that_is_not_a_bool(value):
+    with pytest.raises(QuiverError, match="prune"):
+        search_mgs(catalog.get("K4").quiver, prune=value)
+
+
 def test_search_hits_the_state_budget_at_the_same_count():
+    # the budget caps the search's own count: it finds the reference's
+    # certificate exactly when the budget covers every state it builds
     for q in (catalog.get("K4").quiver, catalog.get("Theta_5").quiver):
         total = search_mgs(q).states
-        for max_states in (1, 2, 3, total // 3, total // 2, total - 1, total):
-            res = _assert_matches_reference(q, max_states=max_states)
-            assert res.found == (max_states == total)
+        cert = search_mgs_reference(q).certificate
+        budgets = (1, 2, 3, total // 3, total // 2, total - 1, total, total + 1)
+        for max_states in budgets:
+            res = search_mgs(q, max_states=max_states)
+            assert res.found == (max_states >= total), max_states
+            if res.found:
+                assert (res.certificate, res.states) == (cert, total)
+            else:
+                assert res.states == max_states + 1
 
 
 def test_a_cap_hit_turns_exhausted_into_budget():
@@ -162,13 +254,13 @@ def test_a_cap_hit_turns_exhausted_into_budget():
 @pytest.mark.parametrize(
     "name, states, sequence",
     [
-        ("K4", 59, (1, 2, 3, 4, 2)),
-        ("Z6", 645, (3, 1, 2, 4, 5, 6, 3)),
-        ("W5", 574, (1, 3, 2, 4, 5, 1, 3)),
-        ("W5p", 590, (1, 2, 4, 5, 1, 3, 4)),
-        ("Theta_5", 211, (2, 1, 3, 4, 5, 2)),
-        ("Theta_6", 629, (2, 1, 3, 4, 5, 6, 2)),
-        ("Theta_7", 1689, (2, 1, 3, 4, 5, 6, 7, 2)),
+        ("K4", 41, (1, 2, 3, 4, 2)),
+        ("Z6", 286, (3, 1, 2, 4, 5, 6, 3)),
+        ("W5", 321, (1, 3, 2, 4, 5, 1, 3)),
+        ("W5p", 345, (1, 2, 4, 5, 1, 3, 4)),
+        ("Theta_5", 109, (2, 1, 3, 4, 5, 2)),
+        ("Theta_6", 280, (2, 1, 3, 4, 5, 6, 2)),
+        ("Theta_7", 673, (2, 1, 3, 4, 5, 6, 7, 2)),
     ],
 )
 def test_search_counters_pinned(name, states, sequence):

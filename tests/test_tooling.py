@@ -107,3 +107,21 @@ def test_one_function_walks_the_exchange_graph():
             ):
                 callers.add(fn.name)
     assert callers == {"_walk"}
+
+
+def test_one_function_mutates_framed_rows_in_the_search():
+    # the search predicts a child's green bits without mutating; only
+    # _mutate_rows calls the integer kernel, so the prediction cannot grow
+    # into a second mutation kernel
+    path = ROOT / "src" / "quivergreen" / "green.py"
+    callers = set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "_mutate_int"
+                or getattr(node.func, "attr", None) == "_mutate_int"
+            ):
+                callers.add(fn.name)
+    assert callers == {"_mutate_rows"}

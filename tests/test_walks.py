@@ -182,12 +182,27 @@ def test_psi_component_decides_each_class_once(monkeypatch):
         decided.append(canonical_key(q).data)
         return decide(q, *args)
 
+    steps = []
+    walk = exchange._walk
+
+    def recording_walk(*args):
+        for step in walk(*args):
+            steps.append(step)
+            yield step
+
     monkeypatch.setattr(exchange, "decide_mgs", recording)
+    monkeypatch.setattr(exchange, "_walk", recording_walk)
     k4 = catalog.get("K4").quiver
-    got = psi_component(k4, max_states=40, max_nodes=200)
+    got = psi_component(k4, max_states=30, max_nodes=200)
     assert len(decided) == len(set(decided)) == 28
     assert not got.complete
-    ref = psi_component_reference(k4, max_states=40, max_nodes=200)
+    unknown = [
+        node.key.data
+        for _, node, _, _ in steps
+        if node is not None and node.mgs is not None and node.mgs.kind == "unknown"
+    ]
+    assert len(set(unknown)) == 1 and len(unknown) == 3
+    ref = psi_component_reference(k4, max_states=30, max_nodes=200)
     _assert_same_graph(got.graph, ref.graph, got.boundary, ref.boundary)
 
 

@@ -199,9 +199,13 @@ class Quiver:
         self._check_vertex(j)
         return self.rows[i - 1][j - 1]
 
-    def _check_vertex(self, k: int) -> None:
+    def _check_vertex(self, k: int) -> int:
+        """``k`` as a plain int, if it is a vertex label of this quiver."""
+        if type(k) is not int:
+            k = _require_int(k, "vertex")
         if not (1 <= k <= self.n):
             raise QuiverError(f"vertex {k} outside 1..{self.n}")
+        return k
 
     def __eq__(self, other):
         return isinstance(other, Quiver) and self.rows == other.rows
@@ -297,6 +301,7 @@ def _take(rows, idx: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 def relabel(q: Quiver, sigma: Sequence[int]) -> Quiver:
     """Apply the vertex permutation ``sigma`` (``sigma[i-1]`` is the new label
     of vertex ``i``), so the result satisfies ``b'[s(i)][s(j)] = b[i][j]``."""
+    sigma = [s if type(s) is int else _require_int(s, "vertex label") for s in sigma]
     if sorted(sigma) != list(range(1, q.n + 1)):
         raise QuiverError(f"{sigma!r} is not a permutation of 1..{q.n}")
     inv = [0] * q.n
@@ -346,7 +351,7 @@ def _mutate_int(rows, k: int):
 
 def mutate(q: Quiver, k: int) -> Quiver:
     """Mutate at vertex ``k``.  The input is unchanged."""
-    q._check_vertex(k)
+    k = q._check_vertex(k)
     rows = _mutate_int(q.rows, k - 1)
     if rows is None:
         raise QuiverError(f"mutation at {k} overflows the multiplicity cap")
@@ -371,11 +376,9 @@ def induced_subquiver(q: Quiver, vs: Iterable[int]) -> tuple[Quiver, tuple[int, 
     labels; the returned map lists the old label of each new vertex, so
     ``mapping[new - 1] == old``.
     """
-    vlist = sorted(set(vs))
+    vlist = sorted({q._check_vertex(v) for v in vs})
     if not vlist:
         raise QuiverError("vertex set must be nonempty")
-    for v in vlist:
-        q._check_vertex(v)
     sub = Quiver._trusted(_take(q.rows, [v - 1 for v in vlist]))
     return sub, tuple(vlist)
 

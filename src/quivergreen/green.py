@@ -7,9 +7,11 @@ of mutations at mutable vertices every mutable vertex is green (no arrows
 arriving from frozen vertices) or red (no arrows leaving towards frozen
 vertices), never both or neither; the engine asserts this at every state.
 
-Everything here runs on plain Python ints.  The search mutates framed rows
-with the kernel ``core._mutate_int``; the replay (:func:`mutate_framed`) is
-a second implementation of mutation, so it checks the search independently.
+Everything here runs on plain Python ints.  The shortest-MGS search
+(:func:`search_mgs`) is one best-first pass over framed states ordered by
+depth plus green count; it mutates framed rows with the kernel
+``core._mutate_int``, and the replay (:func:`mutate_framed`) is a second
+implementation of mutation, so it checks the search independently.
 
 Builders never trust the theorems that motivate them: every certificate they
 return has been replayed and re-verified before it leaves this module.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
 from math import isqrt
 from typing import Optional
 
@@ -30,6 +33,7 @@ from .core import (
     _least_topological_order,
     _mutate_int,
     _require_budget,
+    _require_int,
     _take,
     induced_subquiver,
     mutate,
@@ -131,6 +135,7 @@ def mutate_framed(fq: FramedQuiver, k: int) -> FramedQuiver:
     every round, so this triggers in finite depth).
     """
     n = fq.n
+    k = _require_int(k, "vertex")
     if not (1 <= k <= n):
         raise QuiverError(f"vertex {k} outside mutable range 1..{n}")
     kk = k - 1
@@ -161,6 +166,7 @@ RED = "red"
 def vertex_status(fq: FramedQuiver, i: int) -> str:
     """``green`` or ``red``; anything else would falsify sign-coherence and
     raises from inside the framed-state constructor."""
+    i = _require_int(i, "vertex")
     if not (1 <= i <= fq.n):
         raise QuiverError(f"vertex {i} outside mutable range 1..{fq.n}")
     return GREEN if fq.green_mask()[i - 1] else RED
@@ -181,6 +187,7 @@ def apply_green_sequence(q: Quiver, seq) -> tuple[FramedQuiver, ReplayStatus]:
     mutation of a non-green vertex.  Returns the state reached."""
     fq = frame(q)
     for idx, k in enumerate(seq, start=1):
+        k = _require_int(k, f"vertex at step {idx}")
         if not (1 <= k <= q.n):
             raise QuiverError(f"vertex {k} outside 1..{q.n} at step {idx}")
         if vertex_status(fq, k) != GREEN:
@@ -250,7 +257,8 @@ def check_mgs(q: Quiver, seq) -> tuple[Optional[MgsCertificate], str]:
     idx = [s - 1 for s in sigma]
     if _take(q.rows, idx) != fq.mutable_block().rows:
         return None, "induced permutation does not map the result back"
-    return MgsCertificate(seq, sigma), ""
+    # the replay took every entry as an integer; store them as plain ints
+    return MgsCertificate(tuple(map(int, seq)), sigma), ""
 
 
 def verify_mgs(q: Quiver, seq) -> Optional[MgsCertificate]:
@@ -261,6 +269,12 @@ def verify_mgs(q: Quiver, seq) -> Optional[MgsCertificate]:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Outcome of :func:`search_mgs`: "found" with the certificate of a
+    shortest MGS, "exhausted" when no MGS within ``max_len`` exists, or
+    "budget" when the state budget or the multiplicity cap cut the search
+    short.  ``states`` counts the distinct framed states built; a found
+    search stops at the first all-red state it pops."""
+
     status: str  # "found" | "exhausted" | "budget"
     certificate: Optional[MgsCertificate]
     states: int
@@ -306,9 +320,6 @@ def _mutate_rows(rows, green: int, k: int, n: int):
 # A state with every entry at most this bound has no child beyond MULT_CAP:
 # a changed entry is x + b*y with |x|, |b|, |y| <= r, and r + r*r <= MULT_CAP
 _SAFE_ENTRY = isqrt(MULT_CAP)
-_UNBUILT = -1  # edge whose child is not built yet
-_CAPPED = -2  # edge whose mutation hit MULT_CAP
-_UNPREDICTED = -1  # green bits of a child that is built at its first visit
 
 
 # rows of B recur across the states of a search and across the searches of
@@ -357,45 +368,42 @@ def search_mgs(
     q: Quiver,
     max_len: Optional[int] = None,
     max_states: Optional[int] = None,
-    prune: bool = True,
 ) -> SearchResult:
     """Search for a shortest MGS (ties: lexicographically least sequence) by
-    iterative deepening on the green-count bound.
+    one best-first pass on the green-count bound.
 
     A green vertex stays green until it is mutated (sign-coherence of
     c-vectors), so a state at depth ``d`` with ``g`` green vertices lies on
-    no MGS shorter than ``d + g``.  Pass ``L`` is a layered breadth-first
-    search over framed states, deduplicated by their exact matrix, that
-    drops every child with ``depth + green count > L``.  Every predecessor
-    of a kept state is kept too (one mutation turns at most one green vertex
-    red), so each kept state is reached with the same lexicographically
-    least shortest sequence as an unbounded search would give it.  The first
-    pass has ``L = min(n, max_len)``; the next pass uses the least
-    ``depth + green count`` among the children dropped, so no pass is
-    empty.  Each layer is fully generated before goals are compared, so the
-    reported certificate does not depend on expansion order.  With
-    ``prune`` on, mutations at the head of a multiple arrow are never
-    expanded; no MGS contains such a step.
+    no MGS shorter than ``d + g``, and one mutation turns at most one green
+    vertex red, so ``d + g`` never decreases along a green step.  The search
+    pops entries from a heap in increasing order of ``(d + g, d,
+    sequence)``: every prefix of a sequence comes before it, so a state's
+    first pop has its shortest depth and its lexicographically least
+    sequence of that depth, and the state is expanded then and never again.
+    The first all-red state popped has ``g = 0``, so it ends a shortest MGS,
+    and its sequence is the least of that length.  An entry with ``d + g >
+    max_len`` never enters the heap (the root is always expanded), and the
+    search ends when the heap is empty.  Mutations at the head of a multiple
+    arrow are never expanded; no MGS contains such a step.
 
     Only sequences in lexicographic normal form are extended (Anisimov and
-    Knuth, "Inhomogeneous sorting", 1979).  Each layer entry carries the
-    set F of vertices it may not mutate next: the root has none, and
-    mutating ``k`` at ``s`` gives ``(F(s) | {i < k}) & {i : b_ik = 0 at
-    s}``.  A step at ``i`` in F commutes with every step back to a larger
-    one, and row and column ``i`` do not change along the way, so moving it
-    before that step reaches the same state, as green, by a smaller
-    sequence: no state's least sequence is skipped.  A state with an entry
-    above ``isqrt(MULT_CAP)``, where the moved sequence might pass the cap,
-    takes every step and passes an empty F on.
+    Knuth, "Inhomogeneous sorting", 1979).  Each entry carries the set F of
+    vertices it may not mutate next: the root has none, and mutating ``k``
+    at ``s`` gives ``(F(s) | {i < k}) & {i : b_ik = 0 at s}``.  A step at
+    ``i`` in F commutes with every step back to a larger one, and row and
+    column ``i`` do not change along the way, so moving it before that step
+    reaches the same state, as green, by a smaller sequence: no state's
+    least sequence is skipped.  A state with an entry above
+    ``isqrt(MULT_CAP)``, where the moved sequence might pass the cap, takes
+    every step and passes an empty F on.
 
-    A child is built when it enters a layer, not before: its green bits are
-    predicted from the parent by :func:`_predict_green`, so a child that
-    the bound drops is never built, and the prediction is checked when the
-    child is built.  Two kinds of step are built at their first visit
-    instead, with no prediction: a step that can turn no red vertex green,
-    whose child keeps the parent's ``depth + green count``, and every step
-    from a state with an entry above ``isqrt(MULT_CAP)``, so that every cap
-    hit is seen where the step is first tried.
+    A child is built when its entry is popped, not before: its green bits,
+    and so its place in the heap, are predicted from the parent by
+    :func:`_predict_green` (a step that can turn no red vertex green only
+    turns its own vertex red), and the prediction is checked when the child
+    is built.  Every child of a state with an entry above
+    ``isqrt(MULT_CAP)`` is built when that state is expanded instead, so
+    that every cap hit is seen where the step is first tried.
 
     The search runs on integer rows: a state is the tuple of the top ``n``
     rows ``B | C`` of its framed matrix, mutated, capped and checked for
@@ -404,13 +412,12 @@ def search_mgs(
     :func:`mutate_framed` mutates by a second plain-int implementation,
     before it is reported.
 
-    ``states`` counts the distinct framed states built over all passes,
-    each once: the states within the last bound, and the children of states
-    with an entry above ``isqrt(MULT_CAP)``.  ``max_states`` caps that
-    count.  "exhausted" is only claimed when no MGS of length at most
-    ``max_len`` exists: the last pass dropped nothing, or the next bound
-    would exceed ``max_len``.  Branches cut off by the multiplicity cap
-    downgrade the outcome to "budget".  ``prune`` must be a bool.
+    ``states`` counts the distinct framed states built, each once: the
+    children of the entries popped, and the children of states with an
+    entry above ``isqrt(MULT_CAP)``.  ``max_states`` caps that count.
+    "exhausted" is only claimed when no MGS of length at most ``max_len``
+    exists; branches cut off by the multiplicity cap downgrade it to
+    "budget".
     """
     n = q.n
     max_len = _require_budget(
@@ -419,119 +426,79 @@ def search_mgs(
     max_states = _require_budget(
         DEFAULT_MAX_STATES if max_states is None else max_states, "max_states"
     )
-    if not isinstance(prune, bool):
-        raise QuiverError(f"prune must be True or False, got {prune!r}")
 
     start = _frame_rows(q)
-    # every distinct state built, numbered in order of construction: rows
-    # -> number for dedup, number -> rows and green bits for expansion
+    # every state built -> its number, in order of construction
     number: dict[tuple, int] = {start: 0}
-    states = [start]
-    greens = [(1 << n) - 1]
-    # a bound on the entries of each state: exact at the root, a parent's
-    # times its step's growth factor below it, and measured exactly where
-    # it passes _SAFE_ENTRY
-    peaks = [max(1, max(map(max, q.rows)))]
-    # memoised across passes: number -> [[k, child number (or _UNBUILT or
-    # _CAPPED), child green count (0 until an unpredicted child is built),
-    # predicted green bits (or _UNPREDICTED), child F, growth factor], ...]
-    edges: list[Optional[list[list[int]]]] = [None]
+    expanded: set[int] = set()
     capped = False
-    bound = min(n, max_len)
-    while True:
-        next_bound = None
-        reached = {0}
-        # number -> (least sequence, F) of the states at this depth
-        layer: dict[int, tuple[tuple[int, ...], int]] = {0: ((), 0)}
-        depth = 0
-        while layer:
-            depth += 1
-            next_layer: dict[int, tuple[tuple[int, ...], int]] = {}
-            for s, (seq, f) in layer.items():
-                rows, out = states[s], edges[s]
-                if out is None:
-                    out = edges[s] = []
-                    green = greens[s]
-                    red = ~green
-                    peak = peaks[s]
-                    if peak > _SAFE_ENTRY:
-                        peak = peaks[s] = max(
-                            max(map(max, rows)), -min(map(min, rows))
-                        )
-                    big = peak > _SAFE_ENTRY
-                    if big:
-                        f = 0
-                    for kk in range(n):
-                        bit = 1 << kk
-                        if not green & bit or f & bit:
-                            continue
-                        adjacent, gaining, heads, grow = _column_masks(rows[kk][:n])
-                        if prune and heads:
-                            continue  # head of a multiple arrow
-                        cf = 0 if big else (f | (bit - 1)) & ~adjacent
-                        if gaining & red and not big:
-                            bits = _predict_green(rows, green, kk, n)
-                            count = bits.bit_count()
-                        else:
-                            bits, count = _UNPREDICTED, 0
-                        out.append([kk + 1, _UNBUILT, count, bits, cf, grow])
-                for edge in out:
-                    k, c, cgreens, bits, cf, grow = edge
-                    if c == _UNBUILT and depth + cgreens <= bound:
-                        step = _mutate_rows(rows, greens[s], k - 1, n)
-                        if step is None:
-                            c = edge[1] = _CAPPED
-                        else:
-                            crows, cgreen = step
-                            if bits != _UNPREDICTED and cgreen != bits:
-                                raise InternalInvariantError(
-                                    f"step {k} gave green bits {cgreen:b}, "
-                                    f"predicted {bits:b}"
-                                )
-                            c = number.get(crows)
-                            if c is None:
-                                c = number[crows] = len(states)
-                                states.append(crows)
-                                greens.append(cgreen)
-                                peaks.append(peaks[s] * grow)
-                                edges.append(None)
-                                if len(states) > max_states:
-                                    return SearchResult("budget", None, len(states))
-                            edge[1] = c
-                            edge[2] = cgreens = cgreen.bit_count()
-                    if c == _CAPPED:
-                        capped = True
-                        continue
-                    if c in reached:
-                        continue  # reached at a shorter depth already
-                    if c in next_layer:
-                        # a layer is generated in increasing lexicographic
-                        # order of its sequences (parents in that order, each
-                        # at increasing k), so the first sequence to reach a
-                        # state is its least
-                        continue
-                    need = depth + cgreens
-                    if need > bound:
-                        if next_bound is None or need < next_bound:
-                            next_bound = need
-                        continue
-                    next_layer[c] = (seq + (k,), cf)
-            goals = [seq for c, (seq, _) in next_layer.items() if greens[c] == 0]
-            if goals:
-                best = min(goals)
-                cert = verify_mgs(q, best)
-                if cert is None:
-                    raise InternalInvariantError(
-                        f"search produced sequence {best} that fails verification"
-                    )
-                return SearchResult("found", cert, len(states))
-            reached.update(next_layer)
-            layer = next_layer
-        if next_bound is None or next_bound > max_len:
-            return SearchResult(
-                "budget" if capped else "exhausted", None, len(states)
-            )
-        bound = next_bound
+    # (depth + green count, depth, sequence, rows, green bits, step, child
+    # green bits, F, peak): the child that the 0-based ``step`` builds from
+    # the parent ``rows`` with ``green`` bits, or, with step None, the built
+    # state ``rows`` itself.  ``peak`` bounds the state's entries: exact at
+    # the root, a parent's times its step's growth factor below it, and
+    # measured exactly where it passes _SAFE_ENTRY.
+    full = (1 << n) - 1
+    heap = [(n, 0, (), start, full, None, full, 0, max(1, max(map(max, q.rows))))]
+    while heap:
+        _, depth, seq, rows, green, k, bits, f, peak = heappop(heap)
+        if k is None:
+            s = number[rows]
+        else:
+            # a parent within _SAFE_ENTRY has no child beyond the cap
+            rows, green = _mutate_rows(rows, green, k, n)
+            if green != bits:
+                raise InternalInvariantError(
+                    f"step {k + 1} gave green bits {green:b}, predicted {bits:b}"
+                )
+            s = number.setdefault(rows, len(number))
+            if len(number) > max_states:
+                return SearchResult("budget", None, len(number))
+        if s in expanded:
+            continue  # popped before, with a smaller key
+        if not green:
+            cert = verify_mgs(q, seq)
+            if cert is None:
+                raise InternalInvariantError(
+                    f"search produced sequence {seq} that fails verification"
+                )
+            return SearchResult("found", cert, len(number))
+        expanded.add(s)
+        if peak > _SAFE_ENTRY:
+            peak = max(max(map(max, rows)), -min(map(min, rows)))
+        big = peak > _SAFE_ENTRY
+        if big:
+            f = 0
+        depth += 1
+        red = ~green
+        for kk in range(n):
+            bit = 1 << kk
+            if not green & bit or f & bit:
+                continue
+            adjacent, gaining, heads, grow = _column_masks(rows[kk][:n])
+            if heads:
+                continue  # head of a multiple arrow
+            if big:
+                child = _mutate_rows(rows, green, kk, n)
+                if child is None:
+                    capped = True
+                    continue
+                crows, cbits = child
+                number.setdefault(crows, len(number))
+                if len(number) > max_states:
+                    return SearchResult("budget", None, len(number))
+                entry = (crows, cbits, None, cbits, 0)
+            else:
+                cbits = (
+                    _predict_green(rows, green, kk, n)
+                    if gaining & red
+                    else green & ~bit
+                )
+                entry = (rows, green, kk, cbits, (f | (bit - 1)) & ~adjacent)
+            need = depth + cbits.bit_count()
+            if need <= max_len:
+                heappush(heap, (need, depth, seq + (kk + 1,), *entry, peak * grow))
+    return SearchResult("budget" if capped else "exhausted", None, len(number))
 
 
 def acyclic_mgs(q: Quiver) -> MgsCertificate:

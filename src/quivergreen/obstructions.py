@@ -476,9 +476,9 @@ def decide_mgs(
     Tries, in order: the acyclic construction; the rank-3 classification; a
     scan for induced subquivers that forbid an MGS; matching against the
     divergent rank-4 family; direct-sum and cycle-ending decompositions
-    (recursing on the parts); and finally the shortest-MGS search, iterative
-    deepening on the green-count bound that returns the lexicographically
-    least of the shortest sequences.
+    (recursing on the parts); and finally the shortest-MGS search, one
+    best-first pass on the green-count bound that returns the
+    lexicographically least of the shortest sequences.
     Either answer comes with a replayable certificate or a re-checked
     obstruction; running out of budget yields "unknown".
     """

@@ -447,13 +447,16 @@ def bad_subquiver_reference(q: Quiver):
 
 def search_mgs_reference(q: Quiver, max_len=None, max_states=None, prune=True):
     """The shortest-MGS search on ``FramedQuiver`` states, kept as the oracle
-    for ``green.search_mgs`` (which runs on bare integer rows and the kernel
-    ``core._mutate_int``): the same iterative deepening on "depth + green
-    count", with each state built by ``mutate_framed`` and keyed by its
-    rows, but with every sequence extended, in every order, and every child
-    built before the bound is read.  Status and certificate must agree with
-    the package search, which builds only the states within the bound, so
-    its ``states`` is at most this one."""
+    for ``green.search_mgs`` and formulated independently of it: where the
+    package search is one best-first pass over bare integer rows mutated by
+    ``core._mutate_int``, this is iterative deepening on "depth + green
+    count", layer by layer, with each state built by ``mutate_framed`` and
+    keyed by its rows, every sequence extended, in every order, and every
+    child built before the bound is read.  Status and certificate must
+    agree with the package search, which builds only the states within the
+    bound of its answer, so its ``states`` is at most this one.
+    ``prune=False`` also takes the steps at heads of multiple arrows, which
+    the package search always skips."""
     if max_len is None:
         max_len = default_max_len(q.n)
     if max_states is None:

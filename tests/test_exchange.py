@@ -23,6 +23,7 @@ from oracles import (
     mutation_class_brute,
     random_acyclic_quiver,
     random_quiver,
+    search_mgs_reference,
 )
 
 A3 = Quiver.from_arrows(3, [(1, 2), (2, 3)])
@@ -100,13 +101,12 @@ def test_psi_component_k4():
 
 
 def test_psi_component_k4_deep_crosscheck():
-    from quivergreen.green import search_mgs
     from quivergreen.obstructions import _find_bad_subquiver, _match_r_obstruction
 
     res = psi_component(get("K4").quiver, max_len=16, max_states=10**6)
     # every member's certificate is reproducible by unpruned search
     for node in res.graph.nodes.values():
-        unpruned = search_mgs(node.quiver, max_len=16, prune=False)
+        unpruned = search_mgs_reference(node.quiver, max_len=16, prune=False)
         assert unpruned.found
         assert len(unpruned.certificate.sequence) <= len(
             node.mgs.certificate.sequence

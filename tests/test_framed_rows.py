@@ -10,7 +10,7 @@ import pytest
 
 from quivergreen import catalog, core, green
 from quivergreen.catalog import make_rank3
-from quivergreen.core import Quiver
+from quivergreen.core import MULT_CAP, Quiver
 from quivergreen.errors import InternalInvariantError, QuiverError
 from quivergreen.green import (
     _frame_rows,
@@ -129,6 +129,15 @@ def _assert_matches_reference(q, **kwargs):
         kwargs,
     )
     assert res.states <= ref.states, (q.arrows(), kwargs)
+    # no MGS takes a step at the head of a multiple arrow, so the search
+    # that skips those steps agrees with the one that takes them, unless
+    # the latter runs out of budget on the extra branches
+    full = search_mgs_reference(q, **kwargs, prune=False)
+    if full.status != "budget":
+        assert (full.status, full.certificate) == (res.status, res.certificate), (
+            q.arrows(),
+            kwargs,
+        )
     return res
 
 
@@ -138,52 +147,47 @@ def test_search_matches_reference_on_random_quivers():
     for _ in range(200):
         n = int(rng.integers(2, 7))
         q = random_quiver(rng, n, int(rng.integers(0, 4)))
-        for prune in (True, False):
-            res = _assert_matches_reference(q, max_states=300, prune=prune)
-            statuses.add(res.status)
+        res = _assert_matches_reference(q, max_states=300)
+        statuses.add(res.status)
     assert statuses == {"found", "exhausted", "budget"}
 
 
 def test_search_matches_reference_on_the_catalog():
     for name in catalog.names():
         q = catalog.get(name).quiver
-        for prune in (True, False):
-            _assert_matches_reference(q, max_states=400, prune=prune)
+        _assert_matches_reference(q, max_states=400)
 
 
 def test_search_matches_reference_at_every_max_len():
     # the normal form and the prediction change only which states are
-    # built: with and without pruning, at the default max_len and around
-    # the rank
+    # built: at the default max_len and around the rank
     rng = np.random.default_rng(1717)
     statuses = set()
     for _ in range(300):
         n = int(rng.integers(2, 7))
         q = random_quiver(rng, n, int(rng.integers(0, 4)))
-        for prune in (True, False):
-            for max_len in (None, n - 1, n, n + 1):
-                res = _assert_matches_reference(
-                    q, max_len=max_len, max_states=300, prune=prune
-                )
-                statuses.add(res.status)
+        for max_len in (None, n - 1, n, n + 1):
+            res = _assert_matches_reference(q, max_len=max_len, max_states=300)
+            statuses.add(res.status)
     assert statuses == {"found", "exhausted", "budget"}
 
 
 def test_search_matches_reference_above_the_safe_entry():
     # entries above isqrt(MULT_CAP): such states take every step, predict
-    # nothing and build their children at once, so cap hits show as before
+    # nothing and build their children at once, so cap hits show as before.
+    # Only multiple arrows are scaled: a step at the head of one is never
+    # taken, so the steps that can reach the cap are at heads of single
+    # arrows only, and 2**29 lets two scaled entries add up beyond it
     rng = np.random.default_rng(4099)
     statuses = set()
     for _ in range(40):
         n = int(rng.integers(2, 5))
-        scale = int(rng.choice([20_000, 46_341, 70_000, 2**16]))
-        q = Quiver([[scale * x for x in row] for row in random_quiver(rng, n, 3).rows])
-        for prune in (True, False):
-            for max_len in (None, n, n + 2):
-                res = _assert_matches_reference(
-                    q, max_len=max_len, max_states=300, prune=prune
-                )
-                statuses.add(res.status)
+        scale = int(rng.choice([20_000, 46_341, 70_000, 2**16, 2**29]))
+        rows = random_quiver(rng, n, 3).rows
+        q = Quiver([[scale * x if abs(x) > 1 else x for x in row] for row in rows])
+        for max_len in (None, n, n + 2):
+            res = _assert_matches_reference(q, max_len=max_len, max_states=300)
+            statuses.add(res.status)
     assert statuses == {"found", "exhausted", "budget"}
 
 
@@ -219,12 +223,6 @@ def test_search_states_do_not_depend_on_vertex_labels():
             )
 
 
-@pytest.mark.parametrize("value", ["no", None, 1, 0])
-def test_search_rejects_a_prune_flag_that_is_not_a_bool(value):
-    with pytest.raises(QuiverError, match="prune"):
-        search_mgs(catalog.get("K4").quiver, prune=value)
-
-
 def test_search_hits_the_state_budget_at_the_same_count():
     # the budget caps the search's own count: it finds the reference's
     # certificate exactly when the budget covers every state it builds
@@ -242,25 +240,54 @@ def test_search_hits_the_state_budget_at_the_same_count():
 
 
 def test_a_cap_hit_turns_exhausted_into_budget():
-    # max_len 2 is below the rank, so nothing can be found; the step at 2
-    # is refused by the cap, so the search may not claim "exhausted"
-    res = _assert_matches_reference(CAP_PATH, max_len=2, prune=False)
+    # max_len 2 is below the rank, so nothing can be found; vertex 2 heads
+    # a single arrow, and its step is refused by the cap (it would add
+    # MULT_CAP arrows from 1 to 3 to the MULT_CAP already there), so the
+    # search may not claim "exhausted"
+    q = Quiver.from_arrows(3, [(1, 2, 1), (2, 3, MULT_CAP), (1, 3, MULT_CAP)])
+    res = _assert_matches_reference(q, max_len=2)
     assert res.status == "budget"
-    # with pruning that step is never tried (2 heads a multiple arrow)
-    res = _assert_matches_reference(CAP_PATH, max_len=2, prune=True)
+    # on CAP_PATH the step that hits the cap is never tried (2 heads a
+    # multiple arrow)
+    res = _assert_matches_reference(CAP_PATH, max_len=2)
     assert res.status == "exhausted"
+
+
+def test_no_edge_is_built_twice(monkeypatch):
+    # each state is expanded once, so each of its steps is built once
+    built = []
+    mutate_rows = green._mutate_rows
+
+    def counting(rows, green_bits, k, n):
+        built.append((rows, k))
+        return mutate_rows(rows, green_bits, k, n)
+
+    monkeypatch.setattr(green, "_mutate_rows", counting)
+    rng = np.random.default_rng(83)
+    quivers = [catalog.get(name).quiver for name in catalog.names()]
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        quivers.append(random_quiver(rng, n, int(rng.integers(0, 4))))
+    total = 0
+    for q in quivers:
+        built.clear()
+        search_mgs(q, max_states=3000)
+        assert len(set(built)) == len(built), q.arrows()
+        total += len(built)
+    assert total > 10_000
 
 
 @pytest.mark.parametrize(
     "name, states, sequence",
     [
-        ("K4", 41, (1, 2, 3, 4, 2)),
+        ("K4", 39, (1, 2, 3, 4, 2)),
         ("Z6", 286, (3, 1, 2, 4, 5, 6, 3)),
         ("W5", 321, (1, 3, 2, 4, 5, 1, 3)),
-        ("W5p", 345, (1, 2, 4, 5, 1, 3, 4)),
+        ("W5p", 341, (1, 2, 4, 5, 1, 3, 4)),
         ("Theta_5", 109, (2, 1, 3, 4, 5, 2)),
         ("Theta_6", 280, (2, 1, 3, 4, 5, 6, 2)),
         ("Theta_7", 673, (2, 1, 3, 4, 5, 6, 7, 2)),
+        ("Theta_8", 1552, (2, 1, 3, 4, 5, 6, 7, 8, 2)),
     ],
 )
 def test_search_counters_pinned(name, states, sequence):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,12 @@ from quivergreen.green import (
     vertex_status,
 )
 
-from oracles import enumerate_green_mgs, random_acyclic_quiver, random_quiver
+from oracles import (
+    enumerate_green_mgs,
+    random_acyclic_quiver,
+    random_quiver,
+    search_mgs_reference,
+)
 
 A2 = Quiver.from_arrows(2, [(1, 2)])
 
@@ -45,6 +52,36 @@ def test_frame_initial_state():
     assert fq.n == 3 and fq.mutable_block().rows == q.rows
     assert fq.c_block() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert fq.rows == tuple(b + c for b, c in zip(q.rows, fq.c_block()))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: mutate(A2, v),
+        lambda v: A2.mult(v, 2),
+        lambda v: relabel(A2, [v, 2]),
+        lambda v: induced_subquiver(A2, [v]),
+        lambda v: mutate_framed(frame(A2), v),
+        lambda v: vertex_status(frame(A2), v),
+        lambda v: apply_green_sequence(A2, [v, 2]),
+        lambda v: check_mgs(A2, [v, 2]),
+        lambda v: verify_mgs(A2, [v, 2]),
+    ],
+)
+@pytest.mark.parametrize("label", [True, 1.0, "1", None])
+def test_vertex_labels_that_are_not_integers_are_rejected(call, label):
+    # each call accepts the label 1; nothing may coerce a look-alike to it
+    call(1)
+    with pytest.raises(QuiverError, match="must be an integer"):
+        call(label)
+
+
+def test_certificates_hold_plain_int_vertices():
+    cert = verify_mgs(A2, [np.int64(1), np.int64(2)])
+    assert cert.sequence == (1, 2)
+    assert all(type(v) is int for v in cert.sequence)
+    _, mapping = induced_subquiver(A2, [np.int64(2)])
+    assert mapping == (2,) and type(mapping[0]) is int
 
 
 def test_vertex_status_a2_by_hand():
@@ -164,14 +201,15 @@ def test_search_shortest_lex_least_matches_enumeration():
 
 
 def test_search_prune_matches_unpruned_rank3():
-    # every rank-3 quiver with entries up to 2, searched both ways
+    # every rank-3 quiver with entries up to 2: the search skips steps at
+    # the head of a multiple arrow, the unpruned reference takes them
     vals = range(-2, 3)
     for x in vals:
         for y in vals:
             for z in vals:
                 q = Quiver([[0, x, y], [-x, 0, z], [-y, -z, 0]])
-                pruned = search_mgs(q, 6, 10**5, prune=True)
-                full = search_mgs(q, 6, 10**5, prune=False)
+                pruned = search_mgs(q, 6, 10**5)
+                full = search_mgs_reference(q, 6, 10**5, prune=False)
                 assert pruned.found == full.found, q.arrows()
                 if pruned.found:
                     assert pruned.certificate == full.certificate
@@ -340,21 +378,23 @@ def test_opposite_duality_on_searched_quivers():
 
 
 def _assert_search_matches_oracle(q):
-    """Compare each found sequence with the shortest, then lexicographically
-    least, MGS from literal enumeration; returns the number compared."""
+    """Compare each sequence found by the search, and by the unpruned
+    reference search, with the shortest, then lexicographically least, MGS
+    from literal enumeration; returns the number compared."""
     compared = 0
-    for prune in (True, False):
-        res = search_mgs(q, prune=prune)
+    unpruned = partial(search_mgs_reference, prune=False)
+    for search in (search_mgs, unpruned):
+        res = search(q)
         if not res.found:
             continue
         seq = res.certificate.sequence
         expected = min(enumerate_green_mgs(q, len(seq)), key=lambda s: (len(s), s))
-        assert seq == expected, (q.arrows(), prune)
+        assert seq == expected, (q.arrows(), search)
         # the last admissible bound still finds it, one below is exhausted
-        tight = search_mgs(q, max_len=len(seq), prune=prune)
-        assert tight.certificate == res.certificate, (q.arrows(), prune)
-        short = search_mgs(q, max_len=len(seq) - 1, prune=prune)
-        assert short.status == "exhausted", (q.arrows(), prune)
+        tight = search(q, max_len=len(seq))
+        assert tight.certificate == res.certificate, (q.arrows(), search)
+        short = search(q, max_len=len(seq) - 1)
+        assert short.status == "exhausted", (q.arrows(), search)
         compared += 1
     return compared
 
@@ -391,9 +431,9 @@ def test_search_max_len_below_rank_is_exhausted():
 def test_search_theta7_state_count_pinned():
     res = search_mgs(make_theta(7))
     assert res.found
-    # distinct framed states built over all deepening passes: those within
-    # the last bound; building every child the bound drops gives 1,689,
-    # and a plain breadth-first search builds 16,232
+    # distinct framed states built: those within the bound of the answer;
+    # building every child the bound drops gives 1,689, and a plain
+    # breadth-first search builds 16,232
     assert res.states == 673
 
 

@@ -5,6 +5,7 @@ scripts, must run without a traceback."""
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -125,3 +126,16 @@ def test_one_function_mutates_framed_rows_in_the_search():
             ):
                 callers.add(fn.name)
     assert callers == {"_mutate_rows"}
+
+
+def test_the_search_has_no_mode_switch():
+    # one search: only the quiver and the two budgets, so a second mode
+    # (such as expanding steps at heads of multiple arrows) cannot come
+    # back unnoticed
+    from quivergreen.green import search_mgs
+
+    assert list(inspect.signature(search_mgs).parameters) == [
+        "q",
+        "max_len",
+        "max_states",
+    ]

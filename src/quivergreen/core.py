@@ -559,8 +559,18 @@ def find_ending_kcycle(q: Quiver) -> Optional[tuple[tuple[int, ...], int]]:
 
     Returns the smallest such k and then the lexicographically least ordered
     cycle, as ``(cycle, attachment)`` with ``attachment == cycle[-1]``.
+
+    Each of ``v1..v(k-1)`` has exactly one single arrow in, one single
+    arrow out and nothing else, and ``k >= 3``; with fewer than two such
+    vertices there is no such cycle, and no cycle is enumerated.
     """
     rows = q.rows
+    n = q.n
+    through = sum(
+        1 for row in rows if row.count(0) == n - 2 and 1 in row and -1 in row
+    )
+    if through < 2:
+        return None
     for layer in _chordless_cycles(rows):
         found = []
         for order, oriented in layer:

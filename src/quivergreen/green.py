@@ -10,8 +10,11 @@ vertices), never both or neither; the engine asserts this at every state.
 Everything here runs on plain Python ints.  The shortest-MGS search
 (:func:`search_mgs`) is one best-first pass over framed states ordered by
 depth plus green count; it mutates framed rows with the kernel
-``core._mutate_int``, and the replay (:func:`mutate_framed`) is a second
-implementation of mutation, so it checks the search independently.
+``core._mutate_int``.  The replay that verifies every MGS (:func:`check_mgs`)
+is a second implementation of mutation, so it checks the search
+independently: one textbook step, :func:`_framed_step`, changes the framed
+rows in place, held as lists, and re-checks every row it changes for
+sign-coherence.  :func:`mutate_framed` takes the same step on a copy.
 
 Builders never trust the theorems that motivate them: every certificate they
 return has been replayed and re-verified before it leaves this module.
@@ -47,6 +50,17 @@ def default_max_len(n: int) -> int:
     return 2 * n + 4
 
 
+def _green_flag(c, i: int) -> bool:
+    """True if the c-row ``c`` of vertex ``i + 1`` is green, False if it is
+    red; raise if it is neither (mixed signs, or all zero)."""
+    lo, hi = min(c), max(c)
+    if (lo >= 0) == (hi <= 0):
+        raise InternalInvariantError(
+            f"vertex {i + 1} is neither green nor red; framed state corrupt"
+        )
+    return lo >= 0
+
+
 class FramedQuiver:
     """Immutable framed-quiver state over mutable vertices ``1..n`` and
     frozen vertices ``n+1..2n``, held as the top ``n`` rows ``B | C`` of its
@@ -62,22 +76,8 @@ class FramedQuiver:
             raise QuiverError("framed state must be n rows of 2n entries")
         self.rows = rows
         self.n = n
-        self._green = self._assert_sign_coherent()
-
-    def _assert_sign_coherent(self) -> tuple[bool, ...]:
-        """Raise unless every mutable vertex is green or red; return the
-        green mask."""
-        n = self.n
-        green = []
-        for i, row in enumerate(self.rows, start=1):
-            c = row[n:]
-            lo, hi = min(c), max(c)
-            if (lo >= 0) == (hi <= 0):
-                raise InternalInvariantError(
-                    f"vertex {i} is neither green nor red; framed state corrupt"
-                )
-            green.append(lo >= 0)
-        return tuple(green)
+        # raises unless every mutable vertex is green or red
+        self._green = tuple(_green_flag(row[n:], i) for i, row in enumerate(rows))
 
     def mutable_block(self) -> Quiver:
         # skew-symmetric and within the cap: frame and mutate_framed keep it so
@@ -124,39 +124,59 @@ def frame(q: Quiver) -> FramedQuiver:
     return FramedQuiver(_frame_rows(q))
 
 
-def mutate_framed(fq: FramedQuiver, k: int) -> FramedQuiver:
-    """Mutate the framed state at mutable vertex ``k``; arrows created between
-    frozen vertices are deleted, matching ice-quiver mutation.
+def _framed_step(rows, kk: int, n: int, green) -> None:
+    """Mutate the framed rows ``rows`` (``n`` lists of ``2n`` ints, changed
+    in place) at mutable vertex ``kk`` (0-based), and update the green flags
+    ``green`` (a list of bools) of the rows that change.
 
     Each entry follows the textbook rule: ``b'_ij = -b_ij`` when ``i`` or
-    ``j`` is ``k``, else ``b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2`` (so a
-    row with ``b_ik = 0`` is unchanged).  A step that would exceed the
-    multiplicity cap raises (divergent quivers square their multiplicities
-    every round, so this triggers in finite depth).
+    ``j`` is ``k``, else ``b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2``.  The
+    term vanishes where ``b_ik = 0`` or ``b_kj = 0``, so row ``k`` is
+    negated, a row with ``b_ik != 0`` changes only at ``k`` and where row
+    ``k`` is nonzero, and every other row is left alone; arrows between
+    frozen vertices are never held, matching ice-quiver mutation.  A changed
+    entry beyond the multiplicity cap raises (divergent quivers square their
+    multiplicities every round, so this triggers in finite depth).  Every
+    changed row is checked for sign-coherence; a row left alone is the row
+    checked before and keeps its verdict, so every state is checked in full.
     """
+    pivot = [(j, y, abs(y)) for j, y in enumerate(rows[kk]) if y]
+    changed = []
+    for i, row in enumerate(rows):
+        b = row[kk]
+        if i == kk:
+            for j, y, _ in pivot:
+                row[j] = -y
+        elif b:
+            a = abs(b)
+            for j, y, m in pivot:
+                x = row[j] + (a * y + b * m) // 2
+                if x > MULT_CAP or x < -MULT_CAP:
+                    raise QuiverError(
+                        f"framed mutation at {kk + 1} overflows the multiplicity cap"
+                    )
+                row[j] = x
+            row[kk] = -b
+        else:
+            continue
+        changed.append(i)
+    # after the whole step, so a cap hit anywhere in it is reported first
+    for i in changed:
+        green[i] = _green_flag(rows[i][n:], i)
+
+
+def mutate_framed(fq: FramedQuiver, k: int) -> FramedQuiver:
+    """Mutate the framed state at mutable vertex ``k`` by
+    :func:`_framed_step` on a copy of its rows; arrows created between
+    frozen vertices are deleted, matching ice-quiver mutation.  A step that
+    would exceed the multiplicity cap raises."""
     n = fq.n
     k = _require_int(k, "vertex")
     if not (1 <= k <= n):
         raise QuiverError(f"vertex {k} outside mutable range 1..{n}")
-    kk = k - 1
-    rows = fq.rows
-    row_k = rows[kk]
-    out = []
-    for i, row in enumerate(rows):
-        b_ik = row[kk]
-        if i == kk:
-            row = tuple([-x for x in row])
-        elif b_ik:
-            a = abs(b_ik)
-            new = [x + (a * y + b_ik * abs(y)) // 2 for x, y in zip(row, row_k)]
-            new[kk] = -b_ik
-            if max(new) > MULT_CAP or min(new) < -MULT_CAP:
-                raise QuiverError(
-                    f"framed mutation at {k} overflows the multiplicity cap"
-                )
-            row = tuple(new)
-        out.append(row)
-    return FramedQuiver(out)
+    rows = [list(row) for row in fq.rows]
+    _framed_step(rows, k - 1, n, list(fq.green_mask()))
+    return FramedQuiver(rows)
 
 
 GREEN = "green"
@@ -182,20 +202,32 @@ class ReplayStatus:
     reason: str = ""
 
 
+def _replay(q: Quiver, seq):
+    """Replay ``seq`` on the framed rows of ``q``, held as lists and changed
+    in place by :func:`_framed_step`, stopping at the first mutation of a
+    non-green vertex.  Returns ``(rows, green flags, status)``; each entry
+    is checked once, when its step is reached."""
+    n = q.n
+    rows = [list(row) for row in _frame_rows(q)]
+    green = [True] * n  # the frame's c-rows are the unit vectors
+    for idx, k in enumerate(seq, start=1):
+        if type(k) is not int:
+            k = _require_int(k, f"vertex at step {idx}")
+        if not (1 <= k <= n):
+            raise QuiverError(f"vertex {k} outside 1..{n} at step {idx}")
+        if not green[k - 1]:
+            return rows, green, ReplayStatus(
+                False, idx, k, f"vertex {k} is red at step {idx}"
+            )
+        _framed_step(rows, k - 1, n, green)
+    return rows, green, ReplayStatus(True)
+
+
 def apply_green_sequence(q: Quiver, seq) -> tuple[FramedQuiver, ReplayStatus]:
     """Replay ``seq`` on the framed quiver of ``q``, stopping at the first
     mutation of a non-green vertex.  Returns the state reached."""
-    fq = frame(q)
-    for idx, k in enumerate(seq, start=1):
-        k = _require_int(k, f"vertex at step {idx}")
-        if not (1 <= k <= q.n):
-            raise QuiverError(f"vertex {k} outside 1..{q.n} at step {idx}")
-        if vertex_status(fq, k) != GREEN:
-            return fq, ReplayStatus(
-                False, idx, k, f"vertex {k} is red at step {idx}"
-            )
-        fq = mutate_framed(fq, k)
-    return fq, ReplayStatus(True)
+    rows, _, status = _replay(q, seq)
+    return FramedQuiver(rows), status
 
 
 @dataclass(frozen=True)
@@ -219,17 +251,17 @@ class MgsCertificate:
         return "(" + ", ".join(map(str, self.sequence)) + ")"
 
 
-def _extract_permutation(fq: FramedQuiver) -> Optional[tuple[int, ...]]:
-    """Read the induced permutation off the final c-block, which for a
-    completed MGS must be minus a permutation matrix.
+def _extract_permutation(rows, n: int) -> Optional[tuple[int, ...]]:
+    """Read the induced permutation off the final c-block of the framed rows
+    ``rows``, which for a completed MGS must be minus a permutation matrix.
 
     Row ``i`` holds its -1 in column ``sigma(i)``; with this reading,
     relabelling the final mutable block by ``sigma`` recovers the starting
     quiver (the column reading would give the inverse map).
     """
-    n = fq.n
     sigma = []
-    for c in fq.c_block():
+    for row in rows:
+        c = row[n:]
         if c.count(-1) != 1 or c.count(0) != n - 1:
             return None
         sigma.append(c.index(-1) + 1)
@@ -240,22 +272,27 @@ def _extract_permutation(fq: FramedQuiver) -> Optional[tuple[int, ...]]:
 
 def check_mgs(q: Quiver, seq) -> tuple[Optional[MgsCertificate], str]:
     """Verify ``seq`` as an MGS of ``q``; returns (certificate, "") on success
-    or (None, diagnostic reason)."""
+    or (None, diagnostic reason).
+
+    The sequence is replayed by :func:`_replay`, and the all-red test, the
+    induced permutation and the map back onto ``q`` are read off the final
+    framed rows."""
     seq = tuple(seq)
     if not seq:
         return None, "empty sequence cannot end all-red"
-    fq, status = apply_green_sequence(q, seq)
+    rows, green, status = _replay(q, seq)
     if not status.ok:
         return None, status.reason
-    if not fq.all_red():
-        greens = fq.green_vertices()
+    if any(green):
+        greens = tuple(i for i, g in enumerate(green, start=1) if g)
         return None, f"sequence ends with green vertices {greens}"
-    sigma = _extract_permutation(fq)
+    n = q.n
+    sigma = _extract_permutation(rows, n)
     if sigma is None:
         return None, "final frozen block is not minus a permutation matrix"
     # relabelling the final block by sigma must give back the input
-    idx = [s - 1 for s in sigma]
-    if _take(q.rows, idx) != fq.mutable_block().rows:
+    back = _take(q.rows, [s - 1 for s in sigma])
+    if any(tuple(row[:n]) != b_row for row, b_row in zip(rows, back)):
         return None, "induced permutation does not map the result back"
     # the replay took every entry as an integer; store them as plain ints
     return MgsCertificate(tuple(map(int, seq)), sigma), ""
@@ -289,7 +326,7 @@ def _mutate_rows(rows, green: int, k: int, n: int):
     ``green`` has bit ``i`` set when vertex ``i+1`` is green.
 
     Returns ``(child rows, child green bits)``, or None when an entry would
-    exceed ``MULT_CAP`` (where ``mutate_framed`` raises).  The rows are
+    exceed ``MULT_CAP`` (where the replay raises).  The rows are
     mutated by the integer kernel ``core._mutate_int``, which hands back
     every row it leaves alone as the same object.  Every rebuilt c-row is
     checked for sign-coherence; reused rows keep the parent's verdict, so
@@ -408,9 +445,8 @@ def search_mgs(
     The search runs on integer rows: a state is the tuple of the top ``n``
     rows ``B | C`` of its framed matrix, mutated, capped and checked for
     sign-coherence by :func:`_mutate_rows`.  The sequence it returns is
-    replayed by :func:`verify_mgs` on ``FramedQuiver`` states, whose rows
-    :func:`mutate_framed` mutates by a second plain-int implementation,
-    before it is reported.
+    replayed by :func:`verify_mgs`, whose step :func:`_framed_step` is a
+    second plain-int implementation of mutation, before it is reported.
 
     ``states`` counts the distinct framed states built, each once: the
     children of the entries popped, and the children of states with an

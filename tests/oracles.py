@@ -18,6 +18,7 @@ import numpy as np
 import quivergreen.exchange as exchange
 from quivergreen.canonical import CanonicalKey, canonical_key
 from quivergreen.core import (
+    MULT_CAP,
     Quiver,
     _require_budget,
     is_acyclic,
@@ -40,6 +41,8 @@ from quivergreen.exchange import (
 from quivergreen.green import (
     DEFAULT_MAX_STATES,
     FramedQuiver,
+    MgsCertificate,
+    ReplayStatus,
     SearchResult,
     default_max_len,
     frame,
@@ -566,6 +569,95 @@ def acyclic_mgs_reference(q: Quiver):
             f"source-mutation sequence {seq} failed verification"
         )
     return cert
+
+
+def replay_reference(q: Quiver, seq):
+    """The MGS replay on the full ``2n x 2n`` framed matrix, kept as the
+    oracle for ``green.apply_green_sequence``: every entry of every state is
+    computed by the textbook rule ``b'_ij = -b_ij`` when ``i`` or ``j`` is
+    ``k``, else ``b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2``, arrows between
+    frozen vertices are deleted, and every mutable row of every state is
+    checked for sign-coherence, as the replay did when it built one
+    ``FramedQuiver`` per step.  Returns the top ``n`` rows of the state
+    reached, as tuples, and the ``ReplayStatus``; raises what the package
+    replay raises, with the same message."""
+    n = q.n
+    m = 2 * n
+    b = [[0] * m for _ in range(m)]
+    for i in range(n):
+        for j in range(n):
+            b[i][j] = q.rows[i][j]
+        b[i][n + i] = 1
+        b[n + i][i] = -1
+
+    def greens():
+        flags = []
+        for i in range(n):
+            c = b[i][n:]
+            green = any(c) and all(x >= 0 for x in c)
+            red = any(c) and all(x <= 0 for x in c)
+            if green == red:
+                raise InternalInvariantError(
+                    f"vertex {i + 1} is neither green nor red; framed state corrupt"
+                )
+            flags.append(green)
+        return flags
+
+    for idx, k in enumerate(seq, start=1):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise QuiverError(f"vertex at step {idx} must be an integer, got {k!r}")
+        k = int(k)
+        if not (1 <= k <= n):
+            raise QuiverError(f"vertex {k} outside 1..{n} at step {idx}")
+        if not greens()[k - 1]:
+            return tuple(map(tuple, b[:n])), ReplayStatus(
+                False, idx, k, f"vertex {k} is red at step {idx}"
+            )
+        kk = k - 1
+        b = [
+            [
+                0
+                if i >= n and j >= n
+                else -b[i][j]
+                if kk in (i, j)
+                else b[i][j]
+                + (abs(b[i][kk]) * b[kk][j] + b[i][kk] * abs(b[kk][j])) // 2
+                for j in range(m)
+            ]
+            for i in range(m)
+        ]
+        if any(abs(x) > MULT_CAP for row in b for x in row):
+            raise QuiverError(f"framed mutation at {k} overflows the multiplicity cap")
+        assert all(b[i][j] == -b[j][i] for i in range(m) for j in range(m))
+        greens()
+    return tuple(map(tuple, b[:n])), ReplayStatus(True)
+
+
+def check_mgs_reference(q: Quiver, seq):
+    """``green.check_mgs`` on :func:`replay_reference`: the final frozen
+    block must be minus a permutation matrix, and ``core.relabel`` by that
+    permutation must map the final mutable block back onto ``q``."""
+    seq = tuple(seq)
+    if not seq:
+        return None, "empty sequence cannot end all-red"
+    rows, status = replay_reference(q, seq)
+    if not status.ok:
+        return None, status.reason
+    n = q.n
+    greens = tuple(i for i in range(1, n + 1) if max(rows[i - 1][n:]) > 0)
+    if greens:
+        return None, f"sequence ends with green vertices {greens}"
+    sigma = []
+    for row in rows:
+        c = list(row[n:])
+        if sorted(c) != [-1] + [0] * (n - 1):
+            return None, "final frozen block is not minus a permutation matrix"
+        sigma.append(c.index(-1) + 1)
+    if len(set(sigma)) != n:
+        return None, "final frozen block is not minus a permutation matrix"
+    if relabel(Quiver([row[:n] for row in rows]), sigma) != q:
+        return None, "induced permutation does not map the result back"
+    return MgsCertificate(tuple(int(v) for v in seq), tuple(sigma)), ""
 
 
 # The four traversals below are the mutation loops of ``exchange`` and

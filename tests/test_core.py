@@ -354,3 +354,61 @@ def test_find_ending_kcycle_matches_definition():
         if expected is not None:
             lengths.add(len(expected[0]))
     assert lengths >= {3, 4, 5}
+
+
+def _through_vertices(q: Quiver) -> int:
+    """Vertices with one single arrow in, one single arrow out and nothing
+    else: what v1..v(k-1) of an ending k-cycle must be."""
+    return sum(1 for row in q.rows if sorted(x for x in row if x) == [-1, 1])
+
+
+def spoiled_cycle_quiver(rng, n: int, keep: int) -> tuple[Quiver, bool]:
+    """An oriented cycle of single arrows whose last vertex alone is joined
+    to the other, sparsely linked vertices, then every cycle vertex from
+    index ``keep`` on but the last spoiled by a doubled cycle arrow or an
+    arrow to another vertex.  Returns the quiver and whether a cycle arrow
+    was doubled."""
+    b = np.zeros((n, n), dtype=np.int64)
+    k = int(rng.integers(3, n + 1))
+    perm = [int(v) for v in rng.permutation(n)]
+    cyc, rest = perm[:k], perm[k:]
+    for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+        b[u, w], b[w, u] = 1, -1
+    for u in rest:
+        for w in rest + [cyc[-1]]:
+            if u < w or w == cyc[-1]:
+                if rng.random() < 0.4:
+                    b[u, w] = rng.choice([1, -1, 2])
+                    b[w, u] = -b[u, w]
+    doubled = False
+    for pos in range(keep, k - 1):
+        u = cyc[pos]
+        free = [w for w in range(n) if w != u and b[u, w] == 0]
+        if free and rng.random() < 0.5:
+            w = int(rng.choice(free))
+            b[u, w] = rng.choice([1, -1])
+            b[w, u] = -b[u, w]
+        else:
+            w = cyc[pos + 1]
+            b[u, w], b[w, u] = 2, -2
+            doubled = True
+    return Quiver(b), doubled
+
+
+def test_find_ending_kcycle_matches_definition_around_two_through_vertices():
+    # find_ending_kcycle enumerates no cycle below two through vertices
+    rng = np.random.default_rng(2211)
+    counts = {0: 0, 1: 0, 2: 0, 3: 0}
+    found = doubled_cycles = 0
+    for i in range(60):
+        n = 3 + i % 6
+        q, doubled = spoiled_cycle_quiver(rng, n, i // 6 % 4)
+        expected = ending_kcycle_brute(q)
+        assert find_ending_kcycle(q) == expected, q.rows
+        counts[min(_through_vertices(q), 3)] += 1
+        found += expected is not None
+        doubled_cycles += doubled
+    assert min(counts.values()) >= 8, counts
+    assert found >= 10 and doubled_cycles >= 15, (found, doubled_cycles)
+
+

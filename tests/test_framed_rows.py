@@ -1,9 +1,9 @@
 """The shortest-MGS search on integer framed rows, checked against the
-replay's ``FramedQuiver`` states, which ``mutate_framed`` mutates by the
-textbook entry formula, a second plain-int implementation of mutation: the
-search kernel step by step against ``mutate_framed``, and whole searches
-against ``search_mgs_reference``.  The replay must certify every sequence
-without the search kernel."""
+replay's textbook step, a second plain-int implementation of mutation,
+which ``mutate_framed`` takes on ``FramedQuiver`` states: the search kernel
+step by step against ``mutate_framed``, and whole searches against
+``search_mgs_reference``.  The replay must certify every sequence without
+the search kernel."""
 
 import numpy as np
 import pytest

@@ -139,3 +139,48 @@ def test_the_search_has_no_mode_switch():
         "max_len",
         "max_states",
     ]
+
+
+def _calls(path):
+    """Each top-level function and class of ``path`` (a class stands for
+    all of its methods) -> the names it calls."""
+    calls = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            calls[node.name] = {
+                getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+            }
+    return calls
+
+
+def test_one_textbook_step_replays_every_mgs():
+    # the replay that certifies the search stays a second implementation
+    # of mutation: one textbook step, taken by the replay and by
+    # mutate_framed, and never the search's integer kernel
+    src = ROOT / "src" / "quivergreen"
+    green_calls = _calls(src / "green.py")
+    halving = {
+        fn.name
+        for fn in ast.parse((src / "green.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.FloorDiv)
+        and getattr(node.right, "value", None) == 2
+    }
+    assert halving == {"_framed_step"}
+    assert {name for name, called in green_calls.items() if "_framed_step" in called} == {
+        "_replay",
+        "mutate_framed",
+    }
+    graph = {**_calls(src / "core.py"), **green_calls}
+    reached, todo = set(), ["_replay", "mutate_framed"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(graph.get(name, ()))
+    assert "_framed_step" in reached and "FramedQuiver" in reached
+    assert not reached & {"_mutate_int", "_mutate_rows", "mutate"}

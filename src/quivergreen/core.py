@@ -73,6 +73,17 @@ def _check_vertex_count(n: int) -> None:
         raise QuiverError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
 
 
+def _int_row(row, what: str) -> tuple[int, ...]:
+    """A nonempty row of integers within the multiplicity cap, as a tuple of
+    plain ints."""
+    if set(map(type, row)) != {int}:  # a bool, a float, a numpy integer...
+        row = [_require_int(x, what) for x in row]
+    row = tuple(row)
+    if max(row) > MULT_CAP or min(row) < -MULT_CAP:
+        raise QuiverError(f"arrow multiplicity exceeds cap {MULT_CAP}")
+    return row
+
+
 def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
     """Validate a matrix given as nested lists: a square list of rows of
     integers within the multiplicity cap.  Returns it as a tuple of tuples
@@ -85,12 +96,7 @@ def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
     for row in rows:
         if not isinstance(row, (list, tuple)) or len(row) != n:
             raise QuiverError("exchange matrix must be square")
-        if set(map(type, row)) != {int}:  # a bool, a float, a numpy integer...
-            row = [_require_int(x, "matrix entry") for x in row]
-        row = tuple(row)
-        if max(row) > MULT_CAP or min(row) < -MULT_CAP:
-            raise QuiverError(f"arrow multiplicity exceeds cap {MULT_CAP}")
-        out.append(row)
+        out.append(_int_row(row, "matrix entry"))
     return tuple(out)
 
 

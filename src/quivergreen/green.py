@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import isqrt
+from operator import neg
 from typing import Optional
 
 from .core import (
@@ -33,6 +34,8 @@ from .core import (
     MULT_CAP,
     Quiver,
     Rank3Params,
+    _check_vertex_count,
+    _int_row,
     _least_topological_order,
     _mutate_int,
     _require_budget,
@@ -65,22 +68,30 @@ class FramedQuiver:
     """Immutable framed-quiver state over mutable vertices ``1..n`` and
     frozen vertices ``n+1..2n``, held as the top ``n`` rows ``B | C`` of its
     ``2n x 2n`` skew-symmetric matrix: tuples of ``2n`` plain ints.  They
-    fix the whole matrix, whose bottom rows are ``-C^T | 0``."""
+    fix the whole matrix, whose bottom rows are ``-C^T | 0``.  The
+    constructor raises ``QuiverError`` unless there is a row, every entry
+    is an integer within the multiplicity cap and ``B`` is skew-symmetric."""
 
     __slots__ = ("rows", "n", "_green")
 
     def __init__(self, rows):
         rows = tuple(map(tuple, rows))
         n = len(rows)
+        _check_vertex_count(n)
         if any(len(row) != 2 * n for row in rows):
             raise QuiverError("framed state must be n rows of 2n entries")
+        rows = tuple(_int_row(row, "framed entry") for row in rows)
+        if any(row[i] != 0 for i, row in enumerate(rows)):
+            raise QuiverError("diagonal entries must be zero (no loops)")
+        if any(row[:n] != tuple(map(neg, col)) for row, col in zip(rows, zip(*rows))):
+            raise QuiverError("mutable block must be skew-symmetric")
         self.rows = rows
         self.n = n
         # raises unless every mutable vertex is green or red
         self._green = tuple(_green_flag(row[n:], i) for i, row in enumerate(rows))
 
     def mutable_block(self) -> Quiver:
-        # skew-symmetric and within the cap: frame and mutate_framed keep it so
+        # the constructor checked it: skew-symmetric and within the cap
         return Quiver._trusted(tuple(row[: self.n] for row in self.rows))
 
     def c_block(self) -> tuple[tuple[int, ...], ...]:

@@ -210,7 +210,7 @@ def canonical_matrix_literal(q: Quiver) -> bytes:
     return q.n.to_bytes(2, "big") + m.astype(np.int64).tobytes()
 
 
-def canonical_order_reference(q: Quiver) -> tuple[int, ...]:
+def canonical_order_literal(q: Quiver) -> tuple[int, ...]:
     """The ordering the canonical search must pick, computed the slow way:
     every extension and every dedup profile is rebuilt from single matrix
     reads, with both the column and the row half spelled out, and nothing
@@ -247,6 +247,48 @@ def canonical_order_reference(q: Quiver) -> tuple[int, ...]:
                 seen[profile] = p
         partials = list(seen.values())
     return partials[0]
+
+
+def canonical_order_reference(q: Quiver) -> tuple[int, ...]:
+    """The package's earlier canonical search, kept verbatim: columns are
+    tuples of entries, compared lexicographically, and the search starts at
+    level 1.  The package now reads each column as one integer and starts at
+    level 2, and must return exactly this ordering."""
+    b = q.rows
+    n = q.n
+    # A partial ordering p carries cols[w] = (b[x][w] for x in p) for every
+    # unused vertex w, and None for the used ones; extending p by v appends
+    # b[v][w] to each unused column.  This relies on ``Quiver`` enforcing
+    # skew-symmetry: the row half b[v][x] of an extension is the negation of
+    # its column half, so comparing extensions by v is comparing cols[v], and
+    # two partials with the same cols (hence the same used set) have the same
+    # future entries, so cols is the dedup profile.
+    partials: list[tuple[tuple[int, ...], tuple]] = [((), ((),) * n)]
+    for _ in range(n):
+        best = None
+        extended: list[tuple[tuple[int, ...], tuple, int]] = []
+        for p, cols in partials:
+            for v, col in enumerate(cols):
+                if col is None:
+                    continue
+                if best is None or col < best:
+                    best = col
+                    extended = [(p, cols, v)]
+                elif col == best:
+                    extended.append((p, cols, v))
+        # dedup partials whose future extension entries must coincide,
+        # keeping the first one seen
+        seen = {}
+        for p, cols, v in extended:
+            grown = [
+                None if col is None else col + (x,) for col, x in zip(cols, b[v])
+            ]
+            grown[v] = None
+            grown = tuple(grown)
+            if grown not in seen:
+                seen[grown] = p + (v,)
+        partials = [(p, cols) for cols, p in seen.items()]
+    return partials[0][0]
 
 
 def iso_brute(q1: Quiver, q2: Quiver):

@@ -9,11 +9,13 @@ from quivergreen.canonical import (
     canonical_key,
 )
 from quivergreen.catalog import make_rank3, make_theta
-from quivergreen.core import Quiver, mutate, opposite, relabel
+from quivergreen.core import MULT_CAP, Quiver, mutate, opposite, relabel
 from quivergreen.errors import CapabilityError
+from quivergreen.exchange import explore
 
 from oracles import (
     canonical_matrix_literal,
+    canonical_order_literal,
     canonical_order_reference,
     iso_brute,
     random_quiver,
@@ -118,11 +120,63 @@ def test_witness_matches_reference_ordering():
         relabel(q, [int(v) + 1 for v in rng.permutation(q.n)]) for q in symmetric[2:]
     ]
     for q in cases:
-        order = canonical_order_reference(q)
+        order = canonical_order_literal(q)
         sigma = [0] * q.n
         for new0, old0 in enumerate(order):
             sigma[old0] = new0 + 1
         assert canonical_form(q)[1] == tuple(sigma), q
+
+
+def _signed_quiver(rng, n, values):
+    """Each pair of vertices joined by ``values[k]`` arrows, ``k`` random,
+    in a random direction."""
+    b = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            b[i, j] = values[rng.integers(len(values))] * rng.choice([-1, 1])
+            b[j, i] = -b[i, j]
+    return Quiver(b)
+
+
+def _order_cases():
+    rng = np.random.default_rng(52)
+    cases = []
+    for i in range(2000):
+        n = 1 + i % 12
+        if i % 4 == 0:
+            cases.append(_sparse_quiver(rng, n))
+        else:
+            cases.append(random_quiver(rng, n, i % 4))
+    cases += [Quiver(np.zeros((n, n), dtype=int)) for n in range(1, 13)]
+    cases += [Quiver.from_arrows(n, [(1, 2)]) for n in range(2, 13)]
+    # at the cap the base is 2 * MULT_CAP + 1; at isqrt(MULT_CAP) it is 92,681
+    for n in range(2, 9):
+        for values in ((MULT_CAP,), (0, MULT_CAP), (1, MULT_CAP - 1), (46340,), (0, 1, 46340)):
+            cases.append(_signed_quiver(rng, n, values))
+    a2, a3, a4 = (2, [(1, 2)]), (3, [(1, 2), (2, 3)]), (4, [(1, 2), (2, 3), (3, 4)])
+    for blocks in ([a2] * 6, [a3] * 4, [a4] * 3, [a3, a3, a4], [a2, a3, a4], [a2] * 3):
+        union = _disjoint_union(*blocks)
+        cases += [union, relabel(union, _random_perm(rng, union.n))]
+    dynkin = [
+        Quiver.from_arrows(5, [(1, 2), (2, 3), (3, 4), (4, 5)]),
+        Quiver.from_arrows(6, [(1, 2), (2, 3), (3, 4), (4, 5), (4, 6)]),
+        Quiver.from_arrows(7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)]),
+    ]
+    for q in dynkin:
+        for node in explore(q).nodes.values():
+            cases += [node.quiver, relabel(node.quiver, _random_perm(rng, q.n))]
+    return cases
+
+
+def test_canonical_order_matches_the_tuple_search():
+    # integer columns and the level-2 start must not change which ordering
+    # is found, only how fast: the whole tuple, not just the key it gives
+    cases = _order_cases()
+    assert len(cases) > 3000
+    for q in cases:
+        order = canonical._canonical_order(q)
+        assert order == canonical_order_reference(q), q.rows
+        assert sorted(order) == list(range(q.n))
 
 
 def test_are_isomorphic_identity_and_witness():

@@ -6,6 +6,7 @@ import pytest
 from quivergreen.canonical import canonical_key
 from quivergreen.catalog import get, make_rank3, make_theta
 from quivergreen.core import (
+    MULT_CAP,
     DirectSumDecomposition,
     Quiver,
     Rank3Params,
@@ -111,6 +112,34 @@ def test_sign_coherence_is_asserted():
 def test_framed_state_needs_n_rows_of_2n_entries(rows):
     with pytest.raises(QuiverError, match="n rows of 2n entries"):
         FramedQuiver(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # 5 arrows one way and 3 the other between the same two vertices
+        (((0, 5, 1, 0), (3, 0, 0, 1)), "skew-symmetric"),
+        (((0, 4 * MULT_CAP, 1, 0), (-4 * MULT_CAP, 0, 0, 1)), "exceeds cap"),
+        (((0, 1, MULT_CAP + 1, 0), (-1, 0, 0, 1)), "exceeds cap"),
+        (((1, 0, 1, 0), (0, -1, 0, 1)), "diagonal"),
+        (((0, True, 1, 0), (-1, 0, 0, 1)), "must be an integer"),
+        (((0, 1.0, 1, 0), (-1, 0, 0, 1)), "must be an integer"),
+        (((0, 1, 1, 0), (-1, 0, 0, 1.0)), "must be an integer"),
+        ((), "at least one vertex"),
+    ],
+    ids=["not-skew", "b-over-cap", "c-over-cap", "loop", "bool", "float", "float-c", "empty"],
+)
+def test_framed_state_rejects_an_invalid_matrix(rows, message):
+    with pytest.raises(QuiverError, match=message):
+        FramedQuiver(rows)
+
+
+def test_framed_state_keeps_plain_int_rows():
+    fq = FramedQuiver(((0, np.int64(1), 1, 0), [-1, 0, 0, 1]))
+    assert fq.rows == ((0, 1, 1, 0), (-1, 0, 0, 1))
+    assert {type(x) for row in fq.rows for x in row} == {int}
+    assert fq.mutable_block() == Quiver([[0, 1], [-1, 0]])
+    assert mutate_framed(fq, 1).rows == ((0, -1, -1, 0), (1, 0, 0, 1))
 
 
 def test_apply_green_sequence_violation():

@@ -184,3 +184,47 @@ def test_one_textbook_step_replays_every_mgs():
             todo.extend(graph.get(name, ()))
     assert "_framed_step" in reached and "FramedQuiver" in reached
     assert not reached & {"_mutate_int", "_mutate_rows", "mutate"}
+
+
+def test_canonical_forms_come_from_one_ordering_search():
+    # the integer search replaced the tuple one; only canonical_form runs it
+    src = ROOT / "src" / "quivergreen"
+    canonical_calls = _calls(src / "canonical.py")
+    assert {name for name in canonical_calls if "order" in name} == {"_canonical_order"}
+    callers = {
+        name
+        for module in sorted(src.glob("*.py"))
+        for name, called in _calls(module).items()
+        if "_canonical_order" in called
+    }
+    assert callers == {"canonical_form"}
+
+
+_CONTAINERS = (ast.Dict, ast.DictComp, ast.Set, ast.SetComp, ast.List, ast.ListComp)
+
+
+def test_canonical_keeps_no_module_level_cache():
+    # memos live in a call or a ClassIndex, never in the module, so a
+    # repeated benchmark pass times real work
+    tree = ast.parse((ROOT / "src" / "quivergreen" / "canonical.py").read_text())
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not (names | imported) & {"lru_cache", "cache", "cached_property"}
+    assert not any(isinstance(node, ast.Global) for node in ast.walk(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            assert not isinstance(value, _CONTAINERS), ast.unparse(node)
+            if isinstance(value, ast.Call):
+                assert getattr(value.func, "id", None) not in {
+                    "dict", "set", "list", "defaultdict", "OrderedDict"
+                }, ast.unparse(node)

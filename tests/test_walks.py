@@ -12,8 +12,8 @@ import oracles
 import quivergreen.canonical as canonical
 import quivergreen.exchange as exchange
 from quivergreen import catalog
-from quivergreen.canonical import canonical_key
-from quivergreen.core import Quiver, is_acyclic, mutate_sequence
+from quivergreen.canonical import ClassIndex, canonical_key
+from quivergreen.core import Quiver, is_acyclic, mutate, mutate_sequence, relabel
 from quivergreen.errors import QuiverError
 from quivergreen.exchange import (
     DEFAULT_MAX_MULT,
@@ -316,6 +316,50 @@ def test_explore_with_constant_colours_matches_the_every_pair_walk(
     got = explore(q)
     assert form_calls[0] == len(got) == classes
     _assert_same_graph(got, explore_reference(q))
+
+
+@pytest.mark.parametrize("q, classes", [(D6, 80), (E6, 67)], ids=["D6", "E6"])
+def test_explore_with_constant_degrees_matches_the_every_pair_walk(
+    monkeypatch, form_calls, q, classes
+):
+    # every class lands in one bucket of the walk's index, so each child is
+    # tried against every class reached so far and only the checked
+    # isomorphism tells them apart
+    monkeypatch.setattr(
+        canonical, "_degrees", lambda rows, memo=None: [0] * len(rows)
+    )
+    got = explore(q)
+    assert form_calls[0] == len(got) == classes
+    _assert_same_graph(got, explore_reference(q))
+
+
+def test_a_reused_class_index_answers_as_a_fresh_one():
+    # the index keeps its row degrees across finds; an index that has
+    # answered many finds must answer each one as a new index holding the
+    # same classes would
+    reps = [node.quiver for q in (D6, E6) for node in explore(q).ordered_nodes()]
+    rng = np.random.default_rng(53)
+    queries = [
+        relabel(mutate(rep, k), [int(v) + 1 for v in rng.permutation(rep.n)])
+        for rep in reps[::3]
+        for k in range(1, rep.n + 1)
+    ]
+    queries += [random_quiver(rng, 6, 1) for _ in range(40)]
+    index = ClassIndex()
+    for value, rep in enumerate(reps):
+        index.add(value, rep)
+    found = 0
+    for q in queries:
+        fresh = ClassIndex()
+        for value, rep in enumerate(reps):
+            fresh.add(value, rep)
+        got = index.find(q)
+        assert got == fresh.find(q)
+        if got is not None:
+            value, sigma = got
+            assert relabel(q, sigma) == reps[value]
+            found += 1
+    assert 250 <= found < len(queries)
 
 
 RANK4_BUDGET = Quiver([[0, -2, 2, 1], [2, 0, -1, -2], [-2, 1, 0, 1], [-1, 2, -1, 0]])

@@ -140,7 +140,8 @@ def canonical_form(q: Quiver) -> tuple[CanonicalKey, tuple[int, ...]]:
     if q._canon is not None:
         return q._canon
     order = _canonical_order(q)
-    # the canonical matrix as native int64 bytes, as numpy's tobytes gives them
+    # the canonical matrix as native int64 bytes (array "q"), the same bytes
+    # as numpy's int64 tobytes
     m = array("q", chain.from_iterable(_take(q.rows, order)))
     key = CanonicalKey(q.n.to_bytes(2, "big") + m.tobytes())
     sigma = [0] * q.n

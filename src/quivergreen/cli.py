@@ -70,7 +70,7 @@ def parse_quiver(spec: str) -> Quiver:
         try:
             return cat.get(name).quiver
         except KeyError as exc:
-            raise QuiverError(str(exc)) from exc
+            raise QuiverError(exc.args[0]) from exc
     if ":" in spec:
         prefix, _, args = spec.partition(":")
         family = _FAMILY_SPECS.get(prefix)
@@ -330,7 +330,7 @@ def cmd_catalog(args, out: Output) -> int:
     try:
         entry = cat.get(args.name)
     except KeyError as exc:
-        raise QuiverError(str(exc)) from exc
+        raise QuiverError(exc.args[0]) from exc
     facts = {
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in entry.known_facts.items()

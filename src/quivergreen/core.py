@@ -6,9 +6,8 @@ encoded by a skew-symmetric integer matrix ``b`` where ``b[i][j] > 0`` means
 operations take and return 1-indexed vertex labels.  The matrix itself is
 0-indexed and held as ``Quiver.rows``, a tuple of row tuples of plain Python
 ints: mutation, relabelling and every structural scan run on those, with
-one integer mutation kernel (``_mutate_int``).  numpy serves only the
-read-only ``Quiver.b`` view and ``ndarray`` input; no other module of the
-package imports it.
+one integer mutation kernel (``_mutate_int``).  An integer is a Python
+``int`` that is not a ``bool``; the package needs nothing beyond Python.
 """
 
 from __future__ import annotations
@@ -20,25 +19,27 @@ from itertools import combinations
 from operator import itemgetter, neg
 from typing import Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
-from .errors import QuiverError
+from .errors import CapabilityError, QuiverError
 
 # Multiplicities above this cap abort with an error instead of growing
-# without bound; every entry then fits the int64 of ``Quiver.b`` and of the
-# canonical key bytes.
+# without bound; every entry then fits the int64 of the canonical key bytes.
 MULT_CAP = 2**31 - 1
 
-# Vertex counts above this cap are rejected before any matrix is allocated
-# (an n x n int64 matrix at the cap takes 8 MiB), so an input such as
-# {"n": 100000, ...} is an input error instead of a 74.5 GiB allocation.
+# Vertex counts above this cap are rejected before any matrix is built (an
+# n x n matrix at the cap holds about a million entries), so an input such
+# as {"n": 100000, ...} is an input error instead of ten billion entries.
 MAX_VERTICES = 1024
+
+# The direct-sum scan tries every bipartition of the vertices, 2^(n-1) - 1
+# of them, so it runs only up to this many vertices.
+MAX_DIRECT_SUM_N = 16
 
 
 def _require_int(x, what: str) -> int:
-    """``x`` as an int if it is a Python or numpy integer.  Anything else,
-    including a bool, a float or a string, is rejected rather than coerced."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+    """``x`` if it is a Python ``int`` and not a ``bool``.  Anything else,
+    including a float, a string or a numpy integer, is rejected rather than
+    coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
         raise QuiverError(f"{what} must be an integer, got {x!r}")
     return int(x)
 
@@ -84,19 +85,30 @@ def _int_row(row, what: str) -> tuple[int, ...]:
     return row
 
 
-def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
-    """Validate a matrix given as nested lists: a square list of rows of
-    integers within the multiplicity cap.  Returns it as a tuple of tuples
-    of plain ints."""
+def _int_rows(rows, width: int = 1) -> tuple[tuple[int, ...], ...]:
+    """Validate a matrix given as nested lists: ``n`` rows of ``width * n``
+    integers within the multiplicity cap, whose leading ``n x n`` block has
+    a zero diagonal and is skew-symmetric.  ``width`` is 1 for an exchange
+    matrix and 2 for the rows ``B | C`` of a framed state.  Returns the rows
+    as a tuple of tuples of plain ints."""
     if not isinstance(rows, (list, tuple)):
         raise QuiverError("exchange matrix must be a list of rows")
     n = len(rows)
     _check_vertex_count(n)
     out = []
     for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) != n:
-            raise QuiverError("exchange matrix must be square")
+        if not isinstance(row, (list, tuple)) or len(row) != width * n:
+            raise QuiverError(
+                "exchange matrix must be square"
+                if width == 1
+                else "framed state must be n rows of 2n entries"
+            )
         out.append(_int_row(row, "matrix entry"))
+    if any(row[i] != 0 for i, row in enumerate(out)):
+        raise QuiverError("diagonal entries must be zero (no loops)")
+    # row[:n] of a width-1 row is the row itself
+    if any(row[:n] != tuple(map(neg, col)) for row, col in zip(out, zip(*out))):
+        raise QuiverError("exchange matrix must be skew-symmetric")
     return tuple(out)
 
 
@@ -104,36 +116,19 @@ class Quiver:
     """Immutable quiver on vertices ``1..n`` backed by a skew-symmetric matrix.
 
     ``rows`` holds the matrix as a tuple of ``n`` row tuples of plain ints;
-    every structural operation reads it.  ``b`` is the same matrix as a
-    read-only int64 numpy array, built on first access.
+    every structural operation reads it.  The constructor takes the matrix
+    as a list of ``n`` lists (or tuples) of ``n`` integers.
     """
 
-    __slots__ = ("rows", "n", "_b", "_canon")
+    __slots__ = ("rows", "n", "_canon")
 
     def __init__(self, b):
-        if isinstance(b, np.ndarray):
-            # signed integers only: an unsigned matrix is skew-symmetric only
-            # when it is zero, and uint64 would wrap when converted
-            if b.dtype.kind != "i":
-                raise QuiverError(
-                    f"exchange matrix must have signed integer entries, not {b.dtype}"
-                )
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise QuiverError("exchange matrix must be square")
-            _check_vertex_count(b.shape[0])
-            b = b.tolist()
-        rows = _int_rows(b)
-        if any(row[i] != 0 for i, row in enumerate(rows)):
-            raise QuiverError("diagonal entries must be zero (no loops)")
-        if any(row != tuple(map(neg, col)) for row, col in zip(rows, zip(*rows))):
-            raise QuiverError("exchange matrix must be skew-symmetric")
-        self._adopt(rows)
+        self._adopt(_int_rows(b))
 
     def _adopt(self, rows: tuple[tuple[int, ...], ...]) -> "Quiver":
         """Take ``rows`` as this quiver's matrix, unchecked."""
         self.rows = rows
         self.n = len(rows)
-        self._b = None
         self._canon = None
         return self
 
@@ -142,15 +137,6 @@ class Quiver:
         """Quiver on a tuple of int row tuples that internal code derived
         from a valid quiver, so it needs none of the checks in ``__init__``."""
         return cls.__new__(cls)._adopt(rows)
-
-    @property
-    def b(self) -> np.ndarray:
-        """The matrix as a read-only int64 array, built on first access."""
-        if self._b is None:
-            b = np.array(self.rows, dtype=np.int64)
-            b.setflags(write=False)
-            self._b = b
-        return self._b
 
     @classmethod
     def from_arrows(cls, n: int, arrows: Iterable[Sequence[int]]) -> "Quiver":
@@ -540,8 +526,10 @@ def b_matrix_rank(q: Quiver) -> int:
 def find_direct_sum(q: Quiver) -> Optional[DirectSumDecomposition]:
     """First bipartition (by increasing left size, then lexicographic) whose
     cross arrows are all single and all point left to right, or None."""
-    if q.n > 16:
-        raise QuiverError("direct-sum scan is exhaustive and capped at 16 vertices")
+    if q.n > MAX_DIRECT_SUM_N:
+        raise CapabilityError(
+            f"direct-sum scan supported up to {MAX_DIRECT_SUM_N} vertices, got {q.n}"
+        )
     rows = q.rows
     verts = list(range(1, q.n + 1))
     for size in range(1, q.n):

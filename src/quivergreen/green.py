@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import isqrt
-from operator import neg
 from typing import Optional
 
 from .core import (
@@ -34,8 +33,7 @@ from .core import (
     MULT_CAP,
     Quiver,
     Rank3Params,
-    _check_vertex_count,
-    _int_row,
+    _int_rows,
     _least_topological_order,
     _mutate_int,
     _require_budget,
@@ -75,18 +73,9 @@ class FramedQuiver:
     __slots__ = ("rows", "n", "_green")
 
     def __init__(self, rows):
-        rows = tuple(map(tuple, rows))
-        n = len(rows)
-        _check_vertex_count(n)
-        if any(len(row) != 2 * n for row in rows):
-            raise QuiverError("framed state must be n rows of 2n entries")
-        rows = tuple(_int_row(row, "framed entry") for row in rows)
-        if any(row[i] != 0 for i, row in enumerate(rows)):
-            raise QuiverError("diagonal entries must be zero (no loops)")
-        if any(row[:n] != tuple(map(neg, col)) for row, col in zip(rows, zip(*rows))):
-            raise QuiverError("mutable block must be skew-symmetric")
-        self.rows = rows
-        self.n = n
+        # the checks of ``Quiver``, on rows of 2n entries
+        self.rows = rows = _int_rows(rows, 2)
+        self.n = n = len(rows)
         # raises unless every mutable vertex is green or red
         self._green = tuple(_green_flag(row[n:], i) for i, row in enumerate(rows))
 

@@ -26,6 +26,7 @@ from typing import Optional, Union
 
 from .canonical import are_isomorphic
 from .core import (
+    MAX_DIRECT_SUM_N,
     Quiver,
     Rank3Params,
     RFamilyParams,
@@ -475,10 +476,11 @@ def decide_mgs(
 
     Tries, in order: the acyclic construction; the rank-3 classification; a
     scan for induced subquivers that forbid an MGS; matching against the
-    divergent rank-4 family; direct-sum and cycle-ending decompositions
-    (recursing on the parts); and finally the shortest-MGS search, one
-    best-first pass on the green-count bound that returns the
-    lexicographically least of the shortest sequences.
+    divergent rank-4 family; direct-sum (up to ``MAX_DIRECT_SUM_N``
+    vertices) and cycle-ending decompositions (recursing on the parts); and
+    finally the shortest-MGS search, one best-first pass on the green-count
+    bound that returns the lexicographically least of the shortest
+    sequences.
     Either answer comes with a replayable certificate or a re-checked
     obstruction; running out of budget yields "unknown".
     """
@@ -512,7 +514,7 @@ def decide_mgs(
 
     # every direct-sum part and every cycle core is strictly smaller than
     # q, so the recursion ends
-    ds = find_direct_sum(q)
+    ds = find_direct_sum(q) if q.n <= MAX_DIRECT_SUM_N else None
     if ds is not None:
         sub_l, _ = induced_subquiver(q, ds.part_left)
         sub_r, _ = induced_subquiver(q, ds.part_right)

@@ -55,6 +55,12 @@ from quivergreen.obstructions import (
 )
 
 
+def b_array(q: Quiver) -> np.ndarray:
+    """The exchange matrix of ``q`` as an int64 numpy array, for the oracles
+    that index it as one."""
+    return np.array(q.rows, dtype=np.int64)
+
+
 def naive_mutate_arrows(n: int, arrows: list[tuple[int, int]], k: int) -> dict:
     """Mutation as three literal steps on an explicit arrow list (one entry
     per arrow instance).  Returns net multiplicities {(tail, head): mult}."""
@@ -88,8 +94,9 @@ def arrow_dict(q: Quiver) -> dict:
 
 def has_directed_cycle_paths(q: Quiver) -> bool:
     """Cycle detection by exhaustive simple-path search."""
+    b = b_array(q)
     adj = {
-        v: [w for w in range(1, q.n + 1) if q.b[v - 1, w - 1] > 0]
+        v: [w for w in range(1, q.n + 1) if b[v - 1, w - 1] > 0]
         for v in range(1, q.n + 1)
     }
 
@@ -109,7 +116,8 @@ def separating_edges_closure(q: Quiver) -> list[tuple[int, int]]:
     reaches ``i`` and ``j`` reaches some vertex on a directed cycle, read off
     the transitive closure of the arrow relation (Warshall)."""
     n = q.n
-    reach = [[q.b[i, j] > 0 for j in range(n)] for i in range(n)]
+    b = b_array(q)
+    reach = [[b[i, j] > 0 for j in range(n)] for i in range(n)]
     for k in range(n):
         for i in range(n):
             if reach[i][k]:
@@ -128,11 +136,12 @@ def separating_edges_closure(q: Quiver) -> list[tuple[int, int]]:
 def chordless_cycles_brute(q: Quiver) -> set[frozenset]:
     """Vertex sets of chordless cycles, by checking every subset."""
     out = set()
+    b = b_array(q)
     edges = {
         (i + 1, j + 1)
         for i in range(q.n)
         for j in range(q.n)
-        if i != j and q.b[i, j] != 0
+        if i != j and b[i, j] != 0
     }
     for size in range(3, q.n + 1):
         for vs in combinations(range(1, q.n + 1), size):
@@ -158,9 +167,10 @@ def chordless_cycles_brute(q: Quiver) -> set[frozenset]:
 def cycle_is_oriented(q: Quiver, vs: frozenset) -> bool:
     """Orientation check for a known chordless cycle: every vertex has one
     in-arrow and one out-arrow inside the cycle."""
+    b = b_array(q)
     for v in vs:
-        outs = sum(1 for w in vs if w != v and q.b[v - 1, w - 1] > 0)
-        ins = sum(1 for w in vs if w != v and q.b[w - 1, v - 1] > 0)
+        outs = sum(1 for w in vs if w != v and b[v - 1, w - 1] > 0)
+        ins = sum(1 for w in vs if w != v and b[w - 1, v - 1] > 0)
         if outs != 1 or ins != 1:
             return False
     return True
@@ -168,7 +178,7 @@ def cycle_is_oriented(q: Quiver, vs: frozenset) -> bool:
 
 def rank_fractions(q: Quiver) -> int:
     """Rank via rational Gaussian elimination."""
-    m = [[Fraction(int(x)) for x in row] for row in q.b]
+    m = [[Fraction(int(x)) for x in row] for row in b_array(q)]
     n = q.n
     rank = 0
     row = 0
@@ -201,12 +211,13 @@ def canonical_matrix_literal(q: Quiver) -> bytes:
     """Minimum growth-order serialization over all n! orderings."""
     best_seq = None
     best_order = None
+    b = b_array(q)
     for order in permutations(range(q.n)):
-        seq = growth_sequence(q.b, order)
+        seq = growth_sequence(b, order)
         if best_seq is None or seq < best_seq:
             best_seq = seq
             best_order = order
-    m = q.b[np.ix_(best_order, best_order)]
+    m = b[np.ix_(best_order, best_order)]
     return q.n.to_bytes(2, "big") + m.astype(np.int64).tobytes()
 
 
@@ -218,7 +229,7 @@ def canonical_order_literal(q: Quiver) -> tuple[int, ...]:
     first-seen partial of each profile is kept, so the package's search must
     return exactly this ordering.  The matrix is read as nested lists only to
     keep the symmetric 12-vertex cases within test time."""
-    b = q.b.tolist()
+    b = [list(row) for row in q.rows]
     n = q.n
     partials: list[tuple[int, ...]] = [()]
     used_all = frozenset(range(n))
@@ -296,9 +307,10 @@ def iso_brute(q1: Quiver, q2: Quiver):
     if q1.n != q2.n:
         return None
     n = q1.n
+    b1, b2 = b_array(q1), b_array(q2)
     for perm in permutations(range(1, n + 1)):
         if all(
-            q2.b[perm[i] - 1, perm[j] - 1] == q1.b[i, j]
+            b2[perm[i] - 1, perm[j] - 1] == b1[i, j]
             for i in range(n)
             for j in range(n)
         ):
@@ -312,7 +324,7 @@ def admissible_brute(q: Quiver):
         (i + 1, j + 1)
         for i in range(q.n)
         for j in range(i + 1, q.n)
-        if q.b[i, j] != 0
+        if q.rows[i][j] != 0
     )
     cycles = [
         (vs, cycle_is_oriented(q, vs)) for vs in chordless_cycles_brute(q)
@@ -382,7 +394,7 @@ def random_quiver(rng, n: int, max_mult: int) -> Quiver:
         for j in range(i + 1, n):
             b[i, j] = rng.integers(-max_mult, max_mult + 1)
             b[j, i] = -b[i, j]
-    return Quiver(b)
+    return Quiver(b.tolist())
 
 
 def random_acyclic_quiver(rng, n: int, max_mult: int) -> Quiver:
@@ -395,7 +407,7 @@ def random_acyclic_quiver(rng, n: int, max_mult: int) -> Quiver:
             b[j, i] = -m
     perm = rng.permutation(n)
     b = b[np.ix_(perm, perm)]
-    return Quiver(b)
+    return Quiver(b.tolist())
 
 
 def ending_kcycle_brute(q: Quiver):
@@ -403,7 +415,7 @@ def ending_kcycle_brute(q: Quiver):
     sequence ``v1 -> ... -> vk -> v1`` of single arrows with no other arrows
     among its vertices and with no vertex but ``vk`` joined to the rest of
     the quiver, the least k and then the least sequence, as ``(cycle, vk)``."""
-    b = [[int(x) for x in row] for row in q.b]
+    b = q.rows
     verts = range(1, q.n + 1)
     for k in range(3, q.n + 1):
         found = []
@@ -646,7 +658,7 @@ def replay_reference(q: Quiver, seq):
         return flags
 
     for idx, k in enumerate(seq, start=1):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        if isinstance(k, bool) or not isinstance(k, int):
             raise QuiverError(f"vertex at step {idx} must be an integer, got {k!r}")
         k = int(k)
         if not (1 <= k <= n):

@@ -9,6 +9,8 @@ from quivergreen.exchange import explore
 from quivergreen.green import verify_mgs
 from quivergreen.obstructions import solve_admissibility
 
+from oracles import b_array
+
 
 def test_bundled_quiver_shapes():
     k4 = catalog.get("K4").quiver
@@ -67,9 +69,10 @@ def test_x7_twin_structure():
     twin = catalog.get("X7_twin").quiver
     assert all(m == 1 for _, _, m in twin.arrows())
     degree_two = 0
+    b = b_array(twin)
     for v in range(1, 8):
-        outs = int(np.sum(np.maximum(twin.b[v - 1, :], 0)))
-        ins = int(np.sum(np.maximum(-twin.b[v - 1, :], 0)))
+        outs = int(np.sum(np.maximum(b[v - 1, :], 0)))
+        ins = int(np.sum(np.maximum(-b[v - 1, :], 0)))
         if outs == 2 and ins == 2:
             degree_two += 1
     assert degree_two == 6

@@ -77,12 +77,18 @@ def test_vertex_labels_that_are_not_integers_are_rejected(call, label):
         call(label)
 
 
+class _Label(int):
+    """An int subclass, standing for any integer type that is not ``int``."""
+
+
 def test_certificates_hold_plain_int_vertices():
-    cert = verify_mgs(A2, [np.int64(1), np.int64(2)])
+    cert = verify_mgs(A2, [_Label(1), _Label(2)])
     assert cert.sequence == (1, 2)
     assert all(type(v) is int for v in cert.sequence)
-    _, mapping = induced_subquiver(A2, [np.int64(2)])
+    _, mapping = induced_subquiver(A2, [_Label(2)])
     assert mapping == (2,) and type(mapping[0]) is int
+    with pytest.raises(QuiverError, match="must be an integer"):
+        verify_mgs(A2, [np.int64(1), np.int64(2)])
 
 
 def test_vertex_status_a2_by_hand():
@@ -134,8 +140,14 @@ def test_framed_state_rejects_an_invalid_matrix(rows, message):
         FramedQuiver(rows)
 
 
+@pytest.mark.parametrize("rows", [5, None, [1, 2]])
+def test_framed_state_rejects_what_is_not_a_list_of_rows(rows):
+    with pytest.raises(QuiverError):
+        FramedQuiver(rows)
+
+
 def test_framed_state_keeps_plain_int_rows():
-    fq = FramedQuiver(((0, np.int64(1), 1, 0), [-1, 0, 0, 1]))
+    fq = FramedQuiver(((0, _Label(1), 1, 0), [-1, 0, 0, 1]))
     assert fq.rows == ((0, 1, 1, 0), (-1, 0, 0, 1))
     assert {type(x) for row in fq.rows for x in row} == {int}
     assert fq.mutable_block() == Quiver([[0, 1], [-1, 0]])
@@ -250,7 +262,7 @@ def test_acyclic_mgs():
     path = Quiver.from_arrows(3, [(1, 2), (2, 3)])
     cert = acyclic_mgs(path)
     assert 3 <= len(cert.sequence) <= 6
-    empty3 = Quiver(np.zeros((3, 3), dtype=int))
+    empty3 = Quiver.from_arrows(3, [])
     assert acyclic_mgs(empty3).sequence == (1, 2, 3)
     with pytest.raises(QuiverError):
         acyclic_mgs(make_rank3(1, 1, 1))

@@ -10,8 +10,9 @@ import pytest
 import quivergreen
 from quivergreen.catalog import get, make_rank3
 from quivergreen.cli import main, parse_quiver
-from quivergreen.core import MAX_VERTICES, Quiver
+from quivergreen.core import MAX_VERTICES, Quiver, mutate, relabel
 from quivergreen.errors import QuiverError
+from quivergreen.green import FramedQuiver
 from quivergreen.io import (
     dumps_quiver,
     loads_quiver,
@@ -206,6 +207,25 @@ def test_cli_input_error(capsys):
     assert code == 1 and "error" in err
 
 
+def test_cli_decides_a_quiver_above_the_direct_sum_cap(capsys, tmp_path):
+    # the path 1 -> ... -> 15 into the triangle 15 -> 16 -> 17 -> 15
+    arrows = [[i, i + 1] for i in range(1, 17)] + [[17, 15]]
+    path = tmp_path / "q17.json"
+    path.write_text(json.dumps({"n": 17, "arrows": arrows}))
+    code, out, err = run_cli(capsys, "decide", str(path))
+    assert code == 0 and err == ""
+    assert out.startswith("yes: (")
+
+
+@pytest.mark.parametrize(
+    "argv", [("decide", "catalog:nope"), ("catalog", "show", "nope")]
+)
+def test_cli_catalog_miss_names_the_entry_without_stray_quotes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: no catalog entry named 'nope'\n"
+
+
 def test_cli_output_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(
@@ -278,15 +298,26 @@ def test_huge_vertex_count_is_rejected_before_allocating():
     assert quiver_from_json({"n": MAX_VERTICES, "arrows": []}).n == MAX_VERTICES
 
 
-def test_numpy_integer_matrices_still_construct():
-    for dtype in (np.int64, np.int32, np.int8):
-        assert Quiver(np.zeros((3, 3), dtype=dtype)).b.dtype == np.int64
-    b = np.array([[0, 2], [-2, 0]], dtype=np.int32)
-    assert Quiver(b) == Quiver.from_arrows(2, [(1, 2, 2)])
-    assert Quiver.from_arrows(np.int64(2), [(np.int64(1), np.int64(2))]).n == 2
-    for dtype in (np.float64, np.bool_, np.uint8, np.uint64, object):
-        with pytest.raises(QuiverError):
+def test_numpy_matrices_and_integers_are_rejected():
+    # an integer is a Python int: numpy input needs .tolist() or int()
+    for dtype in (np.int64, np.int32, np.int8, np.float64, np.bool_, np.uint8,
+                  np.uint64, object):
+        with pytest.raises(QuiverError, match="list of rows"):
             Quiver(np.zeros((2, 2), dtype=dtype))
+    with pytest.raises(QuiverError, match="must be an integer"):
+        Quiver([[0, np.int64(2)], [-2, 0]])
+    with pytest.raises(QuiverError, match="must be an integer"):
+        Quiver.from_arrows(np.int64(2), [(1, 2)])
+    q = Quiver.from_arrows(2, [(1, 2, 2)])
+    with pytest.raises(QuiverError, match="must be an integer"):
+        mutate(q, np.int64(1))
+    with pytest.raises(QuiverError, match="must be an integer"):
+        relabel(q, [np.int64(2), np.int64(1)])
+    with pytest.raises(QuiverError, match="must be an integer"):
+        FramedQuiver(((0, np.int64(1), 1, 0), (-1, 0, 0, 1)))
+    # the same data as plain ints is accepted
+    assert Quiver(np.array([[0, 2], [-2, 0]], dtype=np.int32).tolist()) == q
+    assert Quiver.from_arrows(int(np.int64(2)), [(1, 2, 2)]) == q
 
 
 def test_cli_rejects_bool_vertex_count_without_traceback(tmp_path):

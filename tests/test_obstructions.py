@@ -41,6 +41,7 @@ from quivergreen.obstructions import (
 
 from oracles import (
     admissible_brute,
+    b_array,
     bad_subquiver_reference,
     random_acyclic_quiver,
     random_quiver,
@@ -191,10 +192,10 @@ def _with_eighth_vertex(q: Quiver, attach: tuple[int, ...]) -> Quiver:
     """``q`` (rank 7) plus vertex 8 with ``attach[v-1]`` arrows 8 -> v
     (negative: v -> 8)."""
     b = np.zeros((8, 8), dtype=np.int64)
-    b[:7, :7] = q.b
+    b[:7, :7] = b_array(q)
     b[7, :7] = attach
     b[:7, 7] = [-m for m in attach]
-    return Quiver(b)
+    return Quiver(b.tolist())
 
 
 def test_bad_subquiver_scan_matches_reference_on_catalog_and_x7_extensions():
@@ -395,6 +396,21 @@ def test_decide_k4_uses_decomposition():
     assert verify_mgs(get("K4").quiver, v.certificate.sequence) is not None
 
 
+def _path_into_triangle(n):
+    """The path 1 -> ... -> n-2 whose last vertex lies on the oriented
+    triangle n-2 -> n-1 -> n -> n-2."""
+    return Quiver.from_arrows(n, [(i, i + 1) for i in range(1, n)] + [(n, n - 2)])
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_decide_answers_on_either_side_of_the_direct_sum_cap(n):
+    # above 16 vertices the direct-sum stage is skipped, not an input error
+    q = _path_into_triangle(n)
+    v = decide_mgs(q)
+    assert v.yes
+    assert verify_mgs(q, v.certificate.sequence) == v.certificate
+
+
 def test_decide_subquiver_obstruction():
     # a 4-vertex quiver containing the Markov triangle
     q = Quiver.from_arrows(4, [(1, 2, 2), (2, 3, 2), (3, 1, 2), (1, 4)])
@@ -457,7 +473,7 @@ def test_k4_louise_certificate_verifies():
 
 
 def test_louise_leaves():
-    arrowless = Quiver(np.zeros((2, 2), dtype=int))
+    arrowless = Quiver([[0, 0], [0, 0]])
     assert verify_louise_certificate(arrowless, louise_from_json({"kind": "no_edges"}))
     assert not verify_louise_certificate(
         make_rank3(1, 1, 1), louise_from_json({"kind": "acyclic"})

@@ -27,7 +27,7 @@ def small_quivers(draw):
         for j in range(i + 1, n):
             b[i, j] = draw(st.integers(-2, 2))
             b[j, i] = -b[i, j]
-    return Quiver(b)
+    return Quiver(b.tolist())
 
 
 def _check_edges(graph):

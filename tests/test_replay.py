@@ -61,7 +61,7 @@ def _near_cap_quiver(rng, n):
             if rng.random() < 0.6:
                 b[i, j] = rng.choice(NEAR_CAP) * rng.choice([1, -1])
                 b[j, i] = -b[i, j]
-    return Quiver(b)
+    return Quiver(b.tolist())
 
 
 def _sequences(rng, q):

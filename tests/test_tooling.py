@@ -78,9 +78,9 @@ def _imported_modules(path):
             yield node.module
 
 
-def test_only_core_imports_numpy():
-    # numpy serves the read-only Quiver.b view and ndarray input in core;
-    # every computation elsewhere, the MGS replay included, is plain ints
+def test_no_module_imports_numpy():
+    # the package needs nothing beyond Python: every computation is on
+    # plain ints, and no module imports numpy
     modules = sorted((ROOT / "src" / "quivergreen").glob("*.py"))
     users = [
         m.name
@@ -90,7 +90,20 @@ def test_only_core_imports_numpy():
             for name in _imported_modules(m)
         )
     ]
-    assert users == ["core.py"]
+    assert users == []
+
+
+def test_the_cli_never_imports_numpy():
+    script = (
+        "import sys\n"
+        "from quivergreen.cli import main\n"
+        "code = main(['decide', 'catalog:K4'])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    proc = _run("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["yes: (1, 4, 2, 3, 4)", "False"]
 
 
 def test_one_function_walks_the_exchange_graph():

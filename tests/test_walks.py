@@ -5,6 +5,11 @@ pair: ``explore``, ``psi_component``, ``enumerate_acyclic`` and
 same sequence as the framed walk it replaced.  All four share one class
 walk; ``is_mutation_acyclic`` may name a different shortest sequence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,7 +90,7 @@ def shared_decide(monkeypatch):
     decide = exchange.decide_mgs
 
     def cached(q, *args):
-        key = (q.b.tobytes(), q.n, args)
+        key = (q.rows, args)
         if key not in verdicts:
             verdicts[key] = decide(q, *args)
         return verdicts[key]
@@ -128,8 +133,8 @@ def test_enumerate_acyclic_matches_the_every_pair_walk():
     rng = np.random.default_rng(13)
     for _ in range(40):
         q = random_acyclic_quiver(rng, int(rng.integers(1, 7)), 3)
-        got = [m.b.tobytes() for m in enumerate_acyclic(q)]
-        assert got == [m.b.tobytes() for m in enumerate_acyclic_reference(q)]
+        got = [m.rows for m in enumerate_acyclic(q)]
+        assert got == [m.rows for m in enumerate_acyclic_reference(q)]
 
 
 def test_is_mutation_acyclic_matches_the_every_pair_walk():
@@ -422,12 +427,26 @@ def test_relabel_calls_pinned(monkeypatch, run, expected):
 
 
 def test_walks_build_no_numpy_matrix():
-    graph = explore(E6)
-    assert graph.nodes and all(n.quiver._b is None for n in graph.nodes.values())
-    # every member's MGS is found and replayed on plain-int framed rows, so
-    # no member or boundary entry ever needs its numpy view (a fresh seed:
-    # the catalog's own K4 is shared with other tests)
-    psi = psi_component(Quiver(catalog.get("K4").quiver.rows))
-    assert psi.complete and len(psi.graph.nodes) > 1
-    assert all(n.quiver._b is None for n in psi.graph.nodes.values())
-    assert psi.boundary and all(e.quiver._b is None for e in psi.boundary)
+    # in a fresh interpreter, since the tests themselves import numpy: a
+    # class walk and a psi walk, which finds and replays every member's MGS,
+    # run on plain ints and never import numpy
+    script = f"""
+import sys
+from quivergreen import catalog
+from quivergreen.core import Quiver
+from quivergreen.exchange import explore, psi_component
+graph = explore(Quiver.from_arrows(6, {E6.arrows()!r}))
+psi = psi_component(catalog.get("K4").quiver)
+print(len(graph.nodes), graph.complete, len(psi.graph.nodes), psi.complete,
+      len(psi.boundary) > 0, "numpy" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(canonical.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    nodes, complete, psi_nodes, psi_complete, boundary, numpy = proc.stdout.split()
+    assert int(nodes) > 1 and complete == "True"
+    assert int(psi_nodes) > 1 and psi_complete == "True" and boundary == "True"
+    assert numpy == "False"

@@ -29,11 +29,16 @@ its sorted row with its neighbours' sorted rows, weighted by the arrows to
 them.  Vertices whose colour is unique are mapped directly; the rest are
 matched by backtracking within their colour classes.  Every map is checked
 entry by entry before it is returned, so no answer rests on the colouring.
-The exchange-graph walk keeps one ``ClassIndex`` of every class it has
-reached and canonicalises a quiver only when it matches none of them, that
-is, only once per class.  The index remembers each row's degree for its own
-lifetime, since a child shares with its parent every row not adjacent to
-the mutated vertex; the module itself keeps no cache.
+``are_isomorphic`` computes a quiver's sorted degrees and colour classes
+once and keeps them in the quiver's ``_iso`` slot, next to the canonical
+form in ``_canon``, so a catalog quiver that many inputs are matched against
+pays for them once per process.  The exchange-graph walk keeps one
+``ClassIndex`` of every class it has reached and canonicalises a quiver
+only when it matches none of them, that is, only once per class.  The index
+remembers each row's degree for its own lifetime, since a child shares with
+its parent every row not adjacent to the mutated vertex; the walk hands
+``add`` the degrees ``find`` computed, so a new class's rows are not hashed
+again.  Apart from those two slots and the index, the module keeps no cache.
 """
 
 from __future__ import annotations
@@ -286,31 +291,50 @@ class ClassIndex:
         # row not adjacent to its vertex, and equal rows recur in a class
         self._degree: dict[tuple, int] = {}
 
-    def add(self, value, rep: Quiver) -> None:
+    def degrees(self, q: Quiver) -> list[int]:
+        """The row degrees of ``q`` that ``find`` and ``add`` take."""
+        return _degrees(q.rows, self._degree)
+
+    def add(self, value, rep: Quiver, degrees: Optional[list[int]] = None) -> None:
+        """Hold the class of ``rep`` with ``value``.  ``degrees`` are the
+        row degrees of ``rep``, if the caller has them already: those of a
+        quiver that ``rep`` relabels, permuted the same way."""
+        if degrees is None:
+            degrees = self.degrees(rep)
         # the colour classes are computed when a quiver first lands in the
         # bucket, since many held classes are never matched
-        entry = [value, rep.rows, None]
-        degrees = _degrees(rep.rows, self._degree)
+        entry = [value, rep.rows, degrees, None]
         self._buckets.setdefault(tuple(sorted(degrees)), []).append(entry)
 
-    def find(self, q: Quiver) -> Optional[tuple[object, tuple[int, ...]]]:
+    def find(
+        self, q: Quiver, degrees: Optional[list[int]] = None
+    ) -> Optional[tuple[object, tuple[int, ...]]]:
         """``(value, sigma)`` for the class of ``q`` with ``relabel(q, sigma)``
-        equal to its representative, or None if no held class matches."""
-        degrees = _degrees(q.rows, self._degree)
+        equal to its representative, or None if no held class matches.
+        ``degrees`` are the row degrees of ``q``, if the caller has them."""
+        if degrees is None:
+            degrees = self.degrees(q)
         bucket = self._buckets.get(tuple(sorted(degrees)))
         if bucket is None:
             return None
         classes = _classes(_colours(q.rows, degrees))
         for entry in bucket:
-            value, rows, target_classes = entry
+            value, rows, rep_degrees, target_classes = entry
             if target_classes is None:
-                target_classes = entry[2] = _classes(
-                    _colours(rows, _degrees(rows, self._degree))
-                )
+                target_classes = entry[3] = _classes(_colours(rows, rep_degrees))
             sigma = _isomorphism(q.rows, classes, rows, target_classes)
             if sigma is not None:
                 return value, sigma
         return None
+
+
+def _invariants(q: Quiver) -> tuple[list[int], dict]:
+    """``q``'s sorted row degrees and colour classes, computed on the first
+    call and kept in ``q._iso``."""
+    if q._iso is None:
+        degrees = _degrees(q.rows)
+        q._iso = (sorted(degrees), _classes(_colours(q.rows, degrees)))
+    return q._iso
 
 
 def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
@@ -324,12 +348,8 @@ def are_isomorphic(q1: Quiver, q2: Quiver) -> Optional[tuple[int, ...]]:
         raise CapabilityError(
             f"isomorphism test supported up to {MAX_CANONICAL_N} vertices, got {q1.n}"
         )
-    degrees1, degrees2 = _degrees(q1.rows), _degrees(q2.rows)
-    if sorted(degrees1) != sorted(degrees2):
+    degrees1, classes1 = _invariants(q1)
+    degrees2, classes2 = _invariants(q2)
+    if degrees1 != degrees2:
         return None
-    return _isomorphism(
-        q1.rows,
-        _classes(_colours(q1.rows, degrees1)),
-        q2.rows,
-        _classes(_colours(q2.rows, degrees2)),
-    )
+    return _isomorphism(q1.rows, classes1, q2.rows, classes2)

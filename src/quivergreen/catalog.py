@@ -7,9 +7,10 @@ suite; the catalog is data, not trusted ground truth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .core import Quiver, _parse_int, mutate
+from .core import Quiver, _parse_int, _require_int, mutate
 from .errors import QuiverError
 
 
@@ -35,7 +36,22 @@ def make_rank3(a: int, b: int, c: int) -> Quiver:
 
 def make_r_family(a: int, b: int, c: int, opposite: bool = False) -> Quiver:
     """Rank-4 quiver with triangle 2->1, 2->3, 1->3 and weighted arrows
-    4->1 (x a), 3->4 (x c), 4->2 (x b); ``opposite`` reverses everything."""
+    4->1 (x a), 3->4 (x c), 4->2 (x b); ``opposite`` reverses everything.
+
+    The plain member is built once per parameter triple and shared, which
+    is safe because a ``Quiver`` never changes; the parameters are checked
+    first, so a non-integer one is rejected even where an equal integer
+    triple was built before."""
+    q = _r_family(*(_require_int(x, "R family parameter") for x in (a, b, c)))
+    if opposite:
+        from .core import opposite as op
+
+        q = op(q)
+    return q
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _r_family(a: int, b: int, c: int) -> Quiver:
     arrows = [(2, 1, 1), (2, 3, 1), (1, 3, 1)]
     if a:
         arrows.append((4, 1, a))
@@ -43,12 +59,7 @@ def make_r_family(a: int, b: int, c: int, opposite: bool = False) -> Quiver:
         arrows.append((3, 4, c))
     if b:
         arrows.append((4, 2, b))
-    q = Quiver.from_arrows(4, arrows)
-    if opposite:
-        from .core import opposite as op
-
-        q = op(q)
-    return q
+    return Quiver.from_arrows(4, arrows)
 
 
 def make_theta(n: int) -> Quiver:

@@ -117,10 +117,12 @@ class Quiver:
 
     ``rows`` holds the matrix as a tuple of ``n`` row tuples of plain ints;
     every structural operation reads it.  The constructor takes the matrix
-    as a list of ``n`` lists (or tuples) of ``n`` integers.
+    as a list of ``n`` lists (or tuples) of ``n`` integers.  Two slots
+    cache what ``canonical`` derives from the matrix, filled on first use:
+    ``_canon`` the canonical form, ``_iso`` the isomorphism invariants.
     """
 
-    __slots__ = ("rows", "n", "_canon")
+    __slots__ = ("rows", "n", "_canon", "_iso")
 
     def __init__(self, b):
         self._adopt(_int_rows(b))
@@ -130,6 +132,7 @@ class Quiver:
         self.rows = rows
         self.n = len(rows)
         self._canon = None
+        self._iso = None
         return self
 
     @classmethod
@@ -554,40 +557,51 @@ def find_ending_kcycle(q: Quiver) -> Optional[tuple[tuple[int, ...], int]]:
     Returns the smallest such k and then the lexicographically least ordered
     cycle, as ``(cycle, attachment)`` with ``attachment == cycle[-1]``.
 
-    Each of ``v1..v(k-1)`` has exactly one single arrow in, one single
-    arrow out and nothing else, and ``k >= 3``; with fewer than two such
-    vertices there is no such cycle, and no cycle is enumerated.
+    Each of ``v1..v(k-1)`` is a through vertex: one single arrow in, one
+    single arrow out and nothing else; and ``k >= 3``.  So either every
+    vertex of the cycle is a through vertex, and the least rotation starts
+    at its least vertex, or ``v1..v(k-1)`` is a maximal chain of through
+    vertices whose ends both meet ``vk``.  The cycles are read off the
+    chains, in time linear in the number of through vertices once they are
+    known.
     """
     rows = q.rows
     n = q.n
-    through = sum(
-        1 for row in rows if row.count(0) == n - 2 and 1 in row and -1 in row
-    )
-    if through < 2:
+    # through vertex (0-based) -> (the vertex its arrow comes from, the
+    # vertex its arrow goes to)
+    through = {
+        v: (row.index(-1), row.index(1))
+        for v, row in enumerate(rows)
+        if row.count(0) == n - 2 and 1 in row and -1 in row
+    }
+    found = []
+    seen = set()
+    for v, (before, _) in through.items():
+        if before in through:
+            continue  # not the first vertex of a chain
+        chain = [v]
+        after = through[v][1]
+        while after in through:
+            chain.append(after)
+            after = through[after][1]
+        seen.update(chain)
+        if len(chain) >= 2 and after == before:
+            found.append(tuple(w + 1 for w in chain) + (before + 1,))
+    # what is left lies on cycles of through vertices alone; the dict holds
+    # them in ascending order, so each cycle is met first at its least vertex
+    for v in through:
+        if v not in seen:
+            cycle = [v]
+            after = through[v][1]
+            while after != v:
+                cycle.append(after)
+                after = through[after][1]
+            seen.update(cycle)
+            found.append(tuple(w + 1 for w in cycle))
+    if not found:
         return None
-    for layer in _chordless_cycles(rows):
-        found = []
-        for order, oriented in layer:
-            if not oriented or any(
-                rows[order[i - 1] - 1][order[i] - 1] != 1 for i in range(len(order))
-            ):
-                continue
-            outside = [w for w in range(1, q.n + 1) if w not in order]
-            attached = [
-                v for v in order if any(rows[v - 1][w - 1] != 0 for w in outside)
-            ]
-            if len(attached) > 1:
-                continue
-            # rotations of the cycle that put a valid attachment vertex last
-            found.extend(
-                tuple(order[pos + 1:] + order[: pos + 1])
-                for pos, v in enumerate(order)
-                if not attached or v == attached[0]
-            )
-        if found:
-            best = min(found)
-            return best, best[-1]
-    return None
+    best = min(found, key=lambda cycle: (len(cycle), cycle))
+    return best, best[-1]
 
 
 def separating_edges(q: Quiver) -> list[tuple[int, int]]:

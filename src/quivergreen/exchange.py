@@ -148,11 +148,15 @@ def _walk(q: Quiver, graph: ExchangeGraph, vertices=_every_vertex):
                 except QuiverError:
                     yield node, None, k, None
                     continue
-                found = classes.find(child)
+                degrees = classes.degrees(child)
+                found = classes.find(child, degrees)
                 if found is None:
                     ckey, sigma = canonical_form(child)
                     new = ExchangeNode(ckey, relabel(child, sigma), node.layer + 1)
-                    classes.add(new, new.quiver)
+                    rep_degrees = [0] * child.n
+                    for i, s in enumerate(sigma):
+                        rep_degrees[s - 1] = degrees[i]
+                    classes.add(new, new.quiver, rep_degrees)
                 else:
                     new, sigma = found
                 if new.key.data not in graph.nodes:

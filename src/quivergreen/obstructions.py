@@ -31,6 +31,7 @@ from .core import (
     Rank3Params,
     RFamilyParams,
     _require_budget,
+    _take,
     find_direct_sum,
     find_ending_kcycle,
     induced_cycles,
@@ -266,10 +267,32 @@ def _rank3_cycle(
     return None
 
 
+def _core(rows, k: int) -> set[int]:
+    """The vertices (0-based) of the k-core of the underlying graph: what is
+    left after removing, again and again, a vertex with fewer than ``k``
+    neighbours left.  Every vertex set whose induced graph has least degree
+    at least ``k`` lies inside it."""
+    left = set(range(len(rows)))
+    degree = [len(row) - row.count(0) for row in rows]
+    low = [v for v in left if degree[v] < k]
+    while low:
+        v = low.pop()
+        left.discard(v)
+        for w, x in enumerate(rows[v]):
+            if x and w in left:
+                degree[w] -= 1
+                if degree[w] == k - 1:
+                    low.append(w)
+    return left
+
+
 @functools.cache
-def _no_mgs_catalog_entries() -> tuple[tuple[str, Quiver], ...]:
-    """(name, quiver) of the catalog entries whose ``no_mgs`` fact is True,
-    by name, built once: the catalog never changes.  Rank-3 entries are
+def _no_mgs_catalog_entries() -> tuple[tuple[str, Quiver, int, int], ...]:
+    """(name, quiver, multiple arrows, least degree) of the catalog entries
+    whose ``no_mgs`` fact is True, by name, built once: the catalog never
+    changes.  A full subquiver has at most as many multiple arrows as the
+    whole quiver and lies in the core of its least degree, so the last two
+    fields rule entries out before any isomorphism test.  Rank-3 entries are
     skipped: a rank-3 quiver without an MGS is an oriented 3-cycle with all
     multiplicities at least 2, so the rank-3 rule already catches every one
     of them."""
@@ -278,8 +301,11 @@ def _no_mgs_catalog_entries() -> tuple[tuple[str, Quiver], ...]:
     out = []
     for name in catalog.names():
         entry = catalog.get(name)
-        if entry.known_facts.get("no_mgs") is True and entry.quiver.n != 3:
-            out.append((name, entry.quiver))
+        cq = entry.quiver
+        if entry.known_facts.get("no_mgs") is True and cq.n != 3:
+            multiple = sum(x >= 2 for row in cq.rows for x in row)
+            least = min(len(row) - row.count(0) for row in cq.rows)
+            out.append((name, cq, multiple, least))
     return tuple(out)
 
 
@@ -287,20 +313,57 @@ def _find_bad_subquiver(q: Quiver) -> Optional[SubquiverObstruction]:
     """First full subquiver with no MGS by a stated rule: the rank-3 rule
     (an oriented 3-cycle with all multiplicities at least 2) on vertex
     triples in lexicographic order, then a match against the no-MGS catalog
-    entries, tried only at their ranks (by size, subset, then entry)."""
-    verts = range(1, q.n + 1)
+    entries, tried only at their ranks (by size, subset, then entry).
+
+    The rule needs a multiple arrow (|b| >= 2) between each pair of a
+    triple, so only the triples i < j < k with j and k among the multiple
+    arrows of i, and j joined to k by one, are tried, in the same order.
+    An entry is tried only if ``q`` has at least as many multiple arrows: at
+    the rank of ``q`` on ``q`` itself, and below it only on the subsets
+    inside the core of the entry's least degree (see ``_core``), enumerated
+    in the same order as all subsets."""
     rows = q.rows
-    for vs in combinations(verts, 3):
-        shape = _rank3_cycle(rows, vs)
-        if shape is not None and min(shape[1]) >= 2:
-            return SubquiverObstruction(vs, Rank3CyclicObstruction(*shape))
-    entries = _no_mgs_catalog_entries()
-    for size in sorted({cq.n for _, cq in entries if cq.n <= q.n}):
-        for vs in combinations(verts, size):
-            sub, _ = induced_subquiver(q, vs)
-            for name, cq in entries:
-                if cq.n == size and are_isomorphic(sub, cq) is not None:
-                    return SubquiverObstruction(vs, CatalogNoMgsObstruction(name))
+    n = q.n
+    multiple = 0
+    for i, row in enumerate(rows):
+        later = [j for j in range(i + 1, n) if row[j] >= 2 or row[j] <= -2]
+        multiple += len(later)
+        for pos, j in enumerate(later):
+            row_j = rows[j]
+            for k in later[pos + 1:]:
+                if row_j[k] >= 2 or row_j[k] <= -2:
+                    vs = (i + 1, j + 1, k + 1)
+                    shape = _rank3_cycle(rows, vs)
+                    if shape is not None:
+                        return SubquiverObstruction(vs, Rank3CyclicObstruction(*shape))
+    entries = [e for e in _no_mgs_catalog_entries() if e[1].n <= n and e[2] <= multiple]
+    if not entries:
+        return None
+    for size in sorted({cq.n for _, cq, _, _ in entries}):
+        if size == n:
+            for name, cq, _, _ in entries:
+                if cq.n == n and are_isomorphic(q, cq) is not None:
+                    verts = tuple(range(1, n + 1))
+                    return SubquiverObstruction(verts, CatalogNoMgsObstruction(name))
+            continue
+        cores = {}
+        tried = []  # (name, quiver, core) of the entries of this size
+        for name, cq, _, least in entries:
+            if cq.n == size:
+                if least not in cores:
+                    cores[least] = _core(rows, least)
+                tried.append((name, cq, cores[least]))
+        span = sorted(set().union(*cores.values()))
+        for vs in combinations(span, size):
+            sub = None
+            for name, cq, core in tried:
+                if core.issuperset(vs):
+                    if sub is None:
+                        sub = Quiver._trusted(_take(rows, vs))
+                    if are_isomorphic(sub, cq) is not None:
+                        return SubquiverObstruction(
+                            tuple(v + 1 for v in vs), CatalogNoMgsObstruction(name)
+                        )
     return None
 
 

@@ -20,6 +20,7 @@ from quivergreen.canonical import CanonicalKey, canonical_key
 from quivergreen.core import (
     MULT_CAP,
     Quiver,
+    _chordless_cycles,
     _require_budget,
     is_acyclic,
     mutate,
@@ -437,6 +438,36 @@ def ending_kcycle_brute(q: Quiver):
                 found.append(cyc)
         if found:
             return min(found), min(found)[-1]
+    return None
+
+
+def ending_kcycle_reference(q: Quiver):
+    """``find_ending_kcycle`` as it was before it followed chains of through
+    vertices: every chordless cycle, by length, then the rotations that put
+    the only vertex joined to the rest of the quiver last (every rotation
+    when none is).  Exponential in n, so only for small quivers."""
+    rows = q.rows
+    for layer in _chordless_cycles(rows):
+        found = []
+        for order, oriented in layer:
+            if not oriented or any(
+                rows[order[i - 1] - 1][order[i] - 1] != 1 for i in range(len(order))
+            ):
+                continue
+            outside = [w for w in range(1, q.n + 1) if w not in order]
+            attached = [
+                v for v in order if any(rows[v - 1][w - 1] != 0 for w in outside)
+            ]
+            if len(attached) > 1:
+                continue
+            found.extend(
+                tuple(order[pos + 1:] + order[: pos + 1])
+                for pos, v in enumerate(order)
+                if not attached or v == attached[0]
+            )
+        if found:
+            best = min(found)
+            return best, best[-1]
     return None
 
 

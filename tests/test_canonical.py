@@ -8,7 +8,7 @@ from quivergreen.canonical import (
     canonical_form,
     canonical_key,
 )
-from quivergreen.catalog import make_rank3, make_theta
+from quivergreen.catalog import get, make_rank3, make_theta
 from quivergreen.core import MULT_CAP, Quiver, mutate, opposite, relabel
 from quivergreen.errors import CapabilityError
 from quivergreen.exchange import explore
@@ -314,3 +314,27 @@ def test_matcher_backtracks_where_refinement_ties(q1, q2, isomorphic):
             assert (sigma is not None) == isomorphic
             if isomorphic:
                 assert relabel(a, sigma) == b
+
+
+def test_a_repeated_isomorphism_test_computes_no_colours(monkeypatch):
+    # a quiver keeps its sorted degrees and colour classes from its first
+    # test, so a catalog quiver pays for them once, not once per input
+    x7 = get("X7").quiver
+    q = relabel(x7, (3, 1, 2, 7, 5, 6, 4))
+    calls = []
+    colours = canonical._colours
+
+    def counted(rows, degrees):
+        calls.append(rows)
+        return colours(rows, degrees)
+
+    monkeypatch.setattr(canonical, "_colours", counted)
+    sigma = are_isomorphic(q, x7)
+    assert sigma is not None and relabel(q, sigma) == x7
+    assert q.rows in calls
+    first = len(calls)
+    assert are_isomorphic(q, x7) == sigma
+    assert len(calls) == first
+    copy = Quiver([list(row) for row in q.rows])
+    assert are_isomorphic(copy, x7) == sigma
+    assert len(calls) == first + 1

@@ -95,3 +95,15 @@ def test_b_rank_facts():
         entry = catalog.get(name)
         if "b_rank" in entry.known_facts:
             assert b_matrix_rank(entry.quiver) == entry.known_facts["b_rank"], name
+
+
+def test_r_family_members_are_checked_before_they_are_shared():
+    # the plain member is built once per triple; True must not find the
+    # member built for 1
+    q = catalog.make_r_family(1, 2, 3)
+    assert catalog.make_r_family(1, 2, 3) is q
+    with pytest.raises(QuiverError):
+        catalog.make_r_family(True, 2, 3)
+    with pytest.raises(QuiverError):
+        catalog.make_r_family(1, 2.0, 3)
+    assert catalog.make_r_family(1, 2, 3, opposite=True) == opposite(q)

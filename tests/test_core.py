@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import quivergreen.core as core
 from quivergreen.catalog import get, make_rank3, make_r_family, make_theta
 from quivergreen.core import (
     DirectSumDecomposition,
@@ -26,6 +27,7 @@ from oracles import (
     chordless_cycles_brute,
     cycle_is_oriented,
     ending_kcycle_brute,
+    ending_kcycle_reference,
     has_directed_cycle_paths,
     naive_mutate_arrows,
     quiver_to_arrow_list,
@@ -363,6 +365,68 @@ def test_find_ending_kcycle_matches_definition():
         if expected is not None:
             lengths.add(len(expected[0]))
     assert lengths >= {3, 4, 5}
+
+
+def cycles_with_tails_quiver(rng, n: int) -> Quiver:
+    """An oriented cycle of single arrows with a path hung on one of its
+    vertices, sometimes a second oriented cycle, and sparse arrows among the
+    vertices left over and the tail, all on random labels."""
+    b = np.zeros((n, n), dtype=np.int64)
+    perm = [int(v) for v in rng.permutation(n)]
+    k = int(rng.integers(3, n + 1))
+    cyc, rest = perm[:k], perm[k:]
+    cycles = [cyc]
+    if len(rest) >= 3 and rng.random() < 0.4:
+        m = int(rng.integers(3, len(rest) + 1))
+        cycles.append(rest[:m])
+        rest = rest[m:]
+    for c in cycles:
+        for u, w in zip(c, c[1:] + c[:1]):
+            b[u, w], b[w, u] = 1, -1
+    tail = [cyc[int(rng.integers(0, k))]] + rest[: int(rng.integers(0, len(rest) + 1))]
+    for u, w in zip(tail, tail[1:]):
+        b[u, w] = rng.choice([1, -1, 1, 2])
+        b[w, u] = -b[u, w]
+    for u in rest:
+        for w in rest:
+            if u < w and b[u, w] == 0 and rng.random() < 0.2:
+                b[u, w] = rng.choice([1, -1])
+                b[w, u] = -b[u, w]
+    return Quiver(b.tolist())
+
+
+def test_find_ending_kcycle_matches_the_subset_scan():
+    # the first ending cycle read off chains of through vertices is the one
+    # the scan over every chordless cycle finds first
+    rng = np.random.default_rng(2026)
+    makers = (
+        lambda n: random_quiver(rng, n, 2),
+        lambda n: planted_cycle_quiver(rng, n),
+        lambda n: cycles_with_tails_quiver(rng, n),
+    )
+    lengths = set()
+    found = 0
+    for i in range(1500):
+        q = makers[i % 3](int(rng.integers(3, 10)))
+        expected = ending_kcycle_reference(q)
+        assert find_ending_kcycle(q) == expected, q.rows
+        if expected is not None:
+            found += 1
+            lengths.add(len(expected[0]))
+    assert found >= 500 and lengths >= {3, 4, 5, 6, 7}, (found, lengths)
+
+
+def _never(*args):
+    raise AssertionError("a vertex subset was scanned")
+
+
+@pytest.mark.parametrize("n", [17, 25, 40])
+def test_find_ending_kcycle_scans_no_subsets_on_long_cycles(monkeypatch, n):
+    monkeypatch.setattr(core, "_cycle_order", _never)
+    q = Quiver.from_arrows(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    assert find_ending_kcycle(q) == (tuple(range(1, n + 1)), n)
+    shifted = relabel(q, [(i + 3) % n + 1 for i in range(n)])
+    assert find_ending_kcycle(shifted) == (tuple(range(1, n + 1)), n)
 
 
 def _through_vertices(q: Quiver) -> int:

@@ -68,4 +68,4 @@ def test_the_no_mgs_catalog_list_is_built_once():
     entries = _no_mgs_catalog_entries()
     assert isinstance(entries, tuple)
     assert _no_mgs_catalog_entries() is entries
-    assert all(cq.n != 3 for _, cq in entries)
+    assert all(cq.n != 3 for _, cq, _, _ in entries)

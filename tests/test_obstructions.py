@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import quivergreen.core as core
 from quivergreen.canonical import canonical_key
 from quivergreen.catalog import get, make_lin3, make_r_family, make_rank3, make_theta
 from quivergreen.catalog import names as catalog_names
@@ -225,6 +226,45 @@ def test_bad_subquiver_scan_matches_reference_on_catalog_and_x7_extensions():
     assert caught == {CatalogNoMgsObstruction, Rank3CyclicObstruction}
 
 
+def _planted(rng, n: int, inner: Quiver) -> Quiver:
+    """A random quiver on ``n`` vertices, sparse or with multiplicities up
+    to 3, whose full subquiver on ``inner.n`` random vertices is ``inner``."""
+    if rng.random() < 0.5:
+        q = random_quiver(rng, n, int(rng.integers(1, 4)))
+        b = b_array(q)
+    else:
+        b = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    b[i, j] = rng.choice([1, -1, 2])
+                    b[j, i] = -b[i, j]
+    vs = sorted(int(v) for v in rng.permutation(n)[: inner.n])
+    perm = [int(v) for v in rng.permutation(inner.n)]
+    for x, row in enumerate(inner.rows):
+        for y, m in enumerate(row):
+            b[vs[perm[x]], vs[perm[y]]] = m
+    return Quiver(b.tolist())
+
+
+def test_bad_subquiver_scan_matches_the_every_subset_scan_with_planted_x7():
+    # the first rank-3 triple and the first catalog match, in (size,
+    # subset, entry) order, are those of the scan over every vertex subset
+    rng = np.random.default_rng(283)
+    inners = [get("X7").quiver, get("X7_twin").quiver]
+    kinds = {None: 0, Rank3CyclicObstruction: 0, CatalogNoMgsObstruction: 0}
+    for i in range(400):
+        n = int(rng.integers(3, 11))
+        if n >= 7 and i % 5 < 2:
+            q = _planted(rng, n, inners[i % 2])
+        else:
+            q = random_quiver(rng, n, int(rng.integers(1, 4)))
+        expected = bad_subquiver_reference(q)
+        assert _find_bad_subquiver(q) == expected, q.rows
+        kinds[None if expected is None else type(expected.inner)] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_rank3_no_mgs_catalog_entries_are_caught_by_rank3_rule():
     # the scan skips rank-3 catalog entries; the rank-3 rule must cover them
     rank3 = [
@@ -406,6 +446,27 @@ def _path_into_triangle(n):
 def test_decide_answers_on_either_side_of_the_direct_sum_cap(n):
     # above 16 vertices the direct-sum stage is skipped, not an input error
     q = _path_into_triangle(n)
+    v = decide_mgs(q)
+    assert v.yes
+    assert verify_mgs(q, v.certificate.sequence) == v.certificate
+
+
+def _oriented_cycle(n):
+    return Quiver.from_arrows(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def _no_subset_scan(*args):
+    raise AssertionError("a vertex subset was scanned for a cycle")
+
+
+@pytest.mark.parametrize(
+    "q",
+    [_oriented_cycle(17), _oriented_cycle(25), _oriented_cycle(40), _path_into_triangle(20)],
+    ids=["cycle17", "cycle25", "cycle40", "path_into_triangle20"],
+)
+def test_decide_reads_ending_cycles_off_through_vertex_chains(monkeypatch, q):
+    # a scan over vertex subsets would take time exponential in n here
+    monkeypatch.setattr(core, "_cycle_order", _no_subset_scan)
     v = decide_mgs(q)
     assert v.yes
     assert verify_mgs(q, v.certificate.sequence) == v.certificate
